@@ -5,7 +5,7 @@
 
 #include <chrono>
 
-#include "core/partitioned.hpp"
+#include "core/partition.hpp"
 #include "core/pca.hpp"
 #include "sim/datasets.hpp"
 
@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
                 result.stats.compression_ratio, result.rmse);
   }
   for (std::size_t partitions : {1u, 2u, 4u, 8u, 16u}) {
-    core::PartitionedPcaPreconditioner preconditioner({partitions, 0.95});
+    core::PartitionPreconditioner preconditioner(
+        std::make_unique<core::PcaPreconditioner>(), partitions, "pca-part");
     const auto result =
         core::run_pipeline(preconditioner, pair.full, zfp.pair());
     std::printf("%-12zu %10.4f %12zu %9.2fx %12.3e\n", partitions,

@@ -8,7 +8,6 @@
 #include "core/serialize.hpp"
 #include "la/covariance.hpp"
 #include "la/eigen.hpp"
-#include "obs/obs.hpp"
 
 namespace rmp::core {
 namespace {
@@ -63,11 +62,10 @@ PcaPreconditioner::PcaPreconditioner(PcaOptions options) : options_(options) {
   }
 }
 
-io::Container PcaPreconditioner::encode(const sim::Field& field,
-                                        const CodecPair& codecs,
-                                        EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/pca");
-  la::Matrix a = as_matrix(field);
+ReducedModel PcaPreconditioner::fit(const sim::Field& field,
+                                    MatrixShape shape,
+                                    const CodecPair& codecs) const {
+  la::Matrix a = as_matrix(field, shape);
   const auto means = la::column_means(a);
   la::Matrix centered = a;
   la::center_columns(centered, means);
@@ -96,7 +94,7 @@ io::Container PcaPreconditioner::encode(const sim::Field& field,
   const la::Matrix basis = leading_columns(eig.vectors, k);  // n x k
   const la::Matrix scores = centered * basis;                // m x k
 
-  const auto scores_bytes =
+  auto scores_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", scores.flat(),
                       compress::Dims::d2(scores.rows(), scores.cols()));
 
@@ -110,59 +108,40 @@ io::Container PcaPreconditioner::encode(const sim::Field& field,
   la::Matrix reconstruction = recon_scores * basis.transposed();  // m x n
   la::uncenter_columns(reconstruction, means);
 
-  sim::Field delta = subtract(
-      field, matrix_to_field(reconstruction, field.nx(), field.ny(),
-                             field.nz()));
-
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("scores", scores_bytes);
-  container.add("basis", matrix_to_bytes(basis));
-  container.add("means", doubles_to_bytes(means));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  const std::uint64_t meta[2] = {k, scores.rows()};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("scores")->bytes.size() +
-                           container.find("basis")->bytes.size() +
-                           container.find("means")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  ReducedModel model;
+  model.sections.push_back({"scores", std::move(scores_bytes)});
+  model.sections.push_back({"basis", matrix_to_bytes(basis)});
+  model.sections.push_back({"means", doubles_to_bytes(means)});
+  model.meta = {k, scores.rows()};
+  model.reconstruction = std::move(reconstruction).release();
+  return model;
 }
 
-sim::Field PcaPreconditioner::decode(const io::Container& container,
-                                     const CodecPair& codecs,
-                                     const sim::Field*) const {
-  const obs::ScopedSpan span("pca");
-  const auto& scores_section = require_section(container, "scores", "pca");
-  const auto& basis_section = require_section(container, "basis", "pca");
-  const auto& means_section = require_section(container, "means", "pca");
-  const auto& delta_section = require_section(container, "delta", "pca");
-  const auto& meta_section = require_section(container, "meta", "pca");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t k = meta.at(0);
-  const std::size_t m = meta.at(1);
+std::vector<double> PcaPreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t> meta,
+    const compress::Dims&, MatrixShape shape, const CodecPair& codecs) const {
+  const auto& scores_section = sections("scores");
+  const auto& basis_section = sections("basis");
+  const auto& means_section = sections("means");
+  const auto [m, n] = shape;
+  sections.require(meta.size() == 2 && meta[0] >= 1 && meta[0] <= n &&
+                       meta[1] == m,
+                   "meta [k, rows] does not fit the field", "meta");
+  const std::size_t k = meta[0];
 
   const la::Matrix basis = bytes_to_matrix(basis_section.bytes);
+  sections.require(basis.rows() == n && basis.cols() == k,
+                   "basis shape mismatch", "basis");
   const auto means = bytes_to_doubles(means_section.bytes);
-  la::Matrix scores(m, k, codecs.reduced->decompress(scores_section.bytes));
+  sections.require(means.size() == n, "means size mismatch", "means");
+  auto score_values = codecs.reduced->decompress(scores_section.bytes);
+  sections.require(score_values.size() == m * k, "scores size mismatch",
+                   "scores");
+  const la::Matrix scores(m, k, std::move(score_values));
 
   la::Matrix reconstruction = scores * basis.transposed();
   la::uncenter_columns(reconstruction, means);
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(reconstruction, container.nx, container.ny,
-                                  container.nz));
+  return std::move(reconstruction).release();
 }
 
 }  // namespace rmp::core

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "core/preconditioner.hpp"
+#include "core/reduced_model.hpp"
 #include "la/eigen.hpp"
 
 namespace rmp::core {
@@ -31,16 +31,20 @@ struct PcaOptions {
   la::JacobiOptions jacobi = {};
 };
 
-class PcaPreconditioner final : public Preconditioner {
+class PcaPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit PcaPreconditioner(PcaOptions options = {});
 
   std::string name() const override { return "pca"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  /// Sections scores (m x k, reduced codec), basis (n x k) and means;
+  /// meta [k, m].
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 
   const PcaOptions& options() const noexcept { return options_; }
 

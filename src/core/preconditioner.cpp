@@ -4,10 +4,9 @@
 
 #include "obs/obs.hpp"
 
-#include "core/blocked.hpp"
 #include "core/cascade.hpp"
 #include "core/identity.hpp"
-#include "core/partitioned.hpp"
+#include "core/partition.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/svd_precond.hpp"
@@ -19,9 +18,10 @@ namespace rmp::core {
 std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name) {
   // "first>second" composes two stages (core/cascade.hpp).
   if (name.find('>') != std::string::npos) return make_cascade(name);
-  // "blocked-<inner>" partitions the canonical matrix (core/blocked.hpp).
+  // "blocked-<inner>" partitions the canonical matrix (core/partition.hpp).
   if (name.rfind("blocked-", 0) == 0) {
-    return std::make_unique<BlockedPreconditioner>(name.substr(8));
+    return std::make_unique<PartitionPreconditioner>(
+        make_preconditioner(name.substr(8)));
   }
   if (name == "identity") return std::make_unique<IdentityPreconditioner>();
   if (name == "raw") return std::make_unique<RawPreconditioner>();
@@ -32,7 +32,8 @@ std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name) {
   if (name == "svd") return std::make_unique<SvdPreconditioner>();
   if (name == "wavelet") return std::make_unique<WaveletPreconditioner>();
   if (name == "pca-part") {
-    return std::make_unique<PartitionedPcaPreconditioner>();
+    return std::make_unique<PartitionPreconditioner>(
+        std::make_unique<PcaPreconditioner>(), 4, "pca-part");
   }
   if (name == "tucker") return std::make_unique<TuckerPreconditioner>();
   throw std::invalid_argument("make_preconditioner: unknown name " + name);

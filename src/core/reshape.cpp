@@ -12,19 +12,27 @@ std::pair<std::size_t, std::size_t> near_square_factors(std::size_t count) {
   return {count / n, n};  // m >= n
 }
 
-std::pair<std::size_t, std::size_t> matrix_shape(const sim::Field& field) {
-  switch (field.rank()) {
+MatrixShape matrix_shape(const compress::Dims& dims) {
+  switch (dims.rank()) {
     case 3:
-      return {field.nx() * field.ny(), field.nz()};
+      return {dims.nx * dims.ny, dims.nz};
     case 2:
-      return {field.nx(), field.ny()};
+      return {dims.nx, dims.ny};
     default:
-      return near_square_factors(field.size());
+      return near_square_factors(dims.count());
   }
 }
 
+MatrixShape matrix_shape(const sim::Field& field) {
+  return matrix_shape(compress::Dims{field.nx(), field.ny(), field.nz()});
+}
+
 la::Matrix as_matrix(const sim::Field& field) {
-  const auto [m, n] = matrix_shape(field);
+  return as_matrix(field, matrix_shape(field));
+}
+
+la::Matrix as_matrix(const sim::Field& field, MatrixShape shape) {
+  const auto [m, n] = shape;
   if (m * n != field.size()) {
     throw std::logic_error("as_matrix: shape mismatch");
   }

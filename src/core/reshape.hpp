@@ -10,19 +10,26 @@
 #include <cstddef>
 #include <utility>
 
+#include "compress/compressor.hpp"
 #include "la/matrix.hpp"
 #include "sim/field.hpp"
 
 namespace rmp::core {
 
-/// Matrix shape a field will be viewed as.
-std::pair<std::size_t, std::size_t> matrix_shape(const sim::Field& field);
+/// Rows x columns of a matrix view.
+using MatrixShape = std::pair<std::size_t, std::size_t>;
+
+/// Matrix shape a field (or a field of shape `dims`) will be viewed as.
+MatrixShape matrix_shape(const sim::Field& field);
+MatrixShape matrix_shape(const compress::Dims& dims);
 
 /// Most nearly square factorization m x n = count with m >= n.
 std::pair<std::size_t, std::size_t> near_square_factors(std::size_t count);
 
-/// View the field's data as the canonical matrix (copies).
+/// View the field's data as the canonical matrix, or as a matrix of the
+/// given shape over the same row-major data (copies).
 la::Matrix as_matrix(const sim::Field& field);
+la::Matrix as_matrix(const sim::Field& field, MatrixShape shape);
 
 /// Inverse of as_matrix: rebuild a field of the given shape.
 sim::Field matrix_to_field(const la::Matrix& m, std::size_t nx, std::size_t ny,

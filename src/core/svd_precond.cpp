@@ -8,7 +8,6 @@
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "la/svd.hpp"
-#include "obs/obs.hpp"
 
 namespace rmp::core {
 namespace {
@@ -59,11 +58,10 @@ SvdPreconditioner::SvdPreconditioner(SvdOptionsPre options)
   }
 }
 
-io::Container SvdPreconditioner::encode(const sim::Field& field,
-                                        const CodecPair& codecs,
-                                        EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/svd");
-  const la::Matrix a = as_matrix(field);
+ReducedModel SvdPreconditioner::fit(const sim::Field& field,
+                                    MatrixShape shape,
+                                    const CodecPair& codecs) const {
+  const la::Matrix a = as_matrix(field, shape);
   const auto svd = la::jacobi_svd(a, options_.svd);
   if (!svd.converged) {
     throw PreconditionError(
@@ -85,7 +83,7 @@ io::Container SvdPreconditioner::encode(const sim::Field& field,
   const la::Matrix p = scaled_leading(svd, k);  // (rows of internal U) x k
   const la::Matrix vk = leading_v(svd, k);
 
-  const auto p_bytes =
+  auto p_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", p.flat(),
                       compress::Dims::d2(p.rows(), p.cols()));
 
@@ -97,56 +95,42 @@ io::Container SvdPreconditioner::encode(const sim::Field& field,
   la::Matrix reconstruction = recon_p * vk.transposed();
   if (svd.transposed) reconstruction = reconstruction.transposed();
 
-  const sim::Field delta = subtract(
-      field,
-      matrix_to_field(reconstruction, field.nx(), field.ny(), field.nz()));
-
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("u_sigma", p_bytes);
-  container.add("v", matrix_to_bytes(vk));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  const std::uint64_t meta[3] = {k, p.rows(), svd.transposed ? 1u : 0u};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("u_sigma")->bytes.size() +
-                           container.find("v")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  ReducedModel model;
+  model.sections.push_back({"u_sigma", std::move(p_bytes)});
+  model.sections.push_back({"v", matrix_to_bytes(vk)});
+  model.meta = {k, p.rows(), svd.transposed ? 1u : 0u};
+  model.reconstruction = std::move(reconstruction).release();
+  return model;
 }
 
-sim::Field SvdPreconditioner::decode(const io::Container& container,
-                                     const CodecPair& codecs,
-                                     const sim::Field*) const {
-  const obs::ScopedSpan span("svd");
-  const auto& p_section = require_section(container, "u_sigma", "svd");
-  const auto& v_section = require_section(container, "v", "svd");
-  const auto& delta_section = require_section(container, "delta", "svd");
-  const auto& meta_section = require_section(container, "meta", "svd");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t k = meta.at(0);
-  const std::size_t rows = meta.at(1);
-  const bool transposed = meta.at(2) != 0;
+std::vector<double> SvdPreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t> meta,
+    const compress::Dims&, MatrixShape shape, const CodecPair& codecs) const {
+  const auto& p_section = sections("u_sigma");
+  const auto& v_section = sections("v");
+  sections.require(meta.size() == 3 && meta[2] <= 1, "malformed svd meta",
+                   "meta");
+  const auto [m, n] = shape;
+  const bool transposed = meta[2] != 0;
+  // A wide matrix is factored transposed, so U and V swap extents.
+  const std::size_t u_rows = transposed ? n : m;
+  const std::size_t v_rows = transposed ? m : n;
+  const std::size_t k = meta[0];
+  sections.require(meta[1] == u_rows && k >= 1 && k <= v_rows,
+                   "meta [k, rows, transposed] does not fit the field",
+                   "meta");
 
   const la::Matrix vk = bytes_to_matrix(v_section.bytes);
-  la::Matrix p(rows, k, codecs.reduced->decompress(p_section.bytes));
+  sections.require(vk.rows() == v_rows && vk.cols() == k,
+                   "v shape mismatch", "v");
+  auto p_values = codecs.reduced->decompress(p_section.bytes);
+  sections.require(p_values.size() == u_rows * k, "u_sigma size mismatch",
+                   "u_sigma");
+  const la::Matrix p(u_rows, k, std::move(p_values));
 
   la::Matrix reconstruction = p * vk.transposed();
   if (transposed) reconstruction = reconstruction.transposed();
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(reconstruction, container.nx, container.ny,
-                                  container.nz));
+  return std::move(reconstruction).release();
 }
 
 }  // namespace rmp::core

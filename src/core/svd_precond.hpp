@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "core/preconditioner.hpp"
+#include "core/reduced_model.hpp"
 #include "la/svd.hpp"
 
 namespace rmp::core {
@@ -24,16 +24,20 @@ struct SvdOptionsPre {
   la::SvdOptions svd = {};
 };
 
-class SvdPreconditioner final : public Preconditioner {
+class SvdPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit SvdPreconditioner(SvdOptionsPre options = {});
 
   std::string name() const override { return "svd"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  /// Sections u_sigma (reduced codec) and v; meta [k, rows of U,
+  /// transposed].
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 
   const SvdOptionsPre& options() const noexcept { return options_; }
 

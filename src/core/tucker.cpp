@@ -9,7 +9,6 @@
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "la/eigen.hpp"
-#include "obs/obs.hpp"
 
 namespace rmp::core {
 namespace {
@@ -122,18 +121,29 @@ std::vector<double> sigma_proportions(const la::EigenDecomposition& eig) {
   return sigma;
 }
 
-Shape3 canonical_shape(const sim::Field& field) {
-  if (field.rank() == 3) return {field.nx(), field.ny(), field.nz()};
-  if (field.rank() == 2) return {field.nx(), field.ny(), 1};
-  const auto [m, n] = matrix_shape(field);
-  return {m, n, 1};
+// 3D fields keep their shape; anything else is its matrix view.
+Shape3 canonical_shape(const compress::Dims& dims, MatrixShape matrix) {
+  if (dims.rank() == 3) return {dims.nx, dims.ny, dims.nz};
+  return {matrix.first, matrix.second, 1};
+}
+
+Shape3 canonical_shape(const sim::Field& field, MatrixShape matrix) {
+  return canonical_shape(compress::Dims{field.nx(), field.ny(), field.nz()},
+                         matrix);
+}
+
+// Section names of the per-mode factor matrices.
+constexpr const char* kFactorSections[3] = {"u0", "u1", "u2"};
+
+std::size_t extent(const Shape3& s, unsigned mode) {
+  return mode == 0 ? s.d0 : (mode == 1 ? s.d1 : s.d2);
 }
 
 }  // namespace
 
 std::vector<std::vector<double>> tucker_mode_proportions(
     const sim::Field& field) {
-  const Shape3 shape = canonical_shape(field);
+  const Shape3 shape = canonical_shape(field, matrix_shape(field));
   const std::vector<double> tensor(field.flat().begin(), field.flat().end());
   std::vector<std::vector<double>> proportions;
   for (unsigned mode = 0; mode < 3; ++mode) {
@@ -150,20 +160,17 @@ TuckerPreconditioner::TuckerPreconditioner(TuckerOptions options)
   }
 }
 
-io::Container TuckerPreconditioner::encode(const sim::Field& field,
-                                           const CodecPair& codecs,
-                                           EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/tucker");
-  const Shape3 shape = canonical_shape(field);
+ReducedModel TuckerPreconditioner::fit(const sim::Field& field,
+                                       MatrixShape matrix,
+                                       const CodecPair& codecs) const {
+  const Shape3 shape = canonical_shape(field, matrix);
   std::vector<double> tensor(field.flat().begin(), field.flat().end());
 
   // Per-mode factors by Gram-matrix eigendecomposition.
   std::array<la::Matrix, 3> factors;   // k_m x d_m projections
   std::array<std::size_t, 3> ranks{};
   for (unsigned mode = 0; mode < 3; ++mode) {
-    const std::size_t extent =
-        mode == 0 ? shape.d0 : (mode == 1 ? shape.d1 : shape.d2);
-    if (extent == 1) {
+    if (extent(shape, mode) == 1) {
       ranks[mode] = 1;
       factors[mode] = la::Matrix::identity(1);
       continue;
@@ -196,11 +203,11 @@ io::Container TuckerPreconditioner::encode(const sim::Field& field,
     core_shape = next;
   }
 
-  const auto core_bytes =
+  auto core_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", core,
                       {core_shape.d0, core_shape.d1, core_shape.d2});
 
-  // Reconstruction (clean core, paper-style) and delta.
+  // Reconstruction from the clean core, paper-style.
   Shape3 recon_shape = core_shape;
   std::vector<double> recon = core;
   for (unsigned mode = 0; mode < 3; ++mode) {
@@ -209,76 +216,53 @@ io::Container TuckerPreconditioner::encode(const sim::Field& field,
                           factors[mode].transposed(), next);
     recon_shape = next;
   }
-  sim::Field delta = field;
-  {
-    auto d = delta.flat();
-    for (std::size_t n = 0; n < d.size(); ++n) d[n] -= recon[n];
-  }
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("core", core_bytes);
-  container.add("u0", matrix_to_bytes(factors[0]));
-  container.add("u1", matrix_to_bytes(factors[1]));
-  container.add("u2", matrix_to_bytes(factors[2]));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  const std::uint64_t meta[6] = {ranks[0], ranks[1], ranks[2],
-                                 shape.d0,  shape.d1, shape.d2};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("core")->bytes.size() +
-                           container.find("u0")->bytes.size() +
-                           container.find("u1")->bytes.size() +
-                           container.find("u2")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
+  ReducedModel model;
+  model.sections.push_back({"core", std::move(core_bytes)});
+  for (unsigned mode = 0; mode < 3; ++mode) {
+    model.sections.push_back(
+        {kFactorSections[mode], matrix_to_bytes(factors[mode])});
   }
-  return container;
+  model.meta = {ranks[0], ranks[1], ranks[2], shape.d0, shape.d1, shape.d2};
+  model.reconstruction = std::move(recon);
+  return model;
 }
 
-sim::Field TuckerPreconditioner::decode(const io::Container& container,
-                                        const CodecPair& codecs,
-                                        const sim::Field*) const {
-  const obs::ScopedSpan span("tucker");
-  const auto& core_section = require_section(container, "core", "tucker");
-  const auto& delta_section = require_section(container, "delta", "tucker");
-  const auto& meta_section = require_section(container, "meta", "tucker");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const Shape3 core_shape{meta.at(0), meta.at(1), meta.at(2)};
+std::vector<double> TuckerPreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t> meta,
+    const compress::Dims& dims, MatrixShape matrix,
+    const CodecPair& codecs) const {
+  const auto& core_section = sections("core");
+  sections.require(meta.size() == 6, "malformed tucker meta", "meta");
+  const Shape3 shape = canonical_shape(dims, matrix);
+  const Shape3 core_shape{meta[0], meta[1], meta[2]};
+  bool fits = meta[3] == shape.d0 && meta[4] == shape.d1 && meta[5] == shape.d2;
+  for (unsigned mode = 0; mode < 3; ++mode) {
+    const std::size_t rank = extent(core_shape, mode);
+    fits = fits && rank >= 1 && rank <= extent(shape, mode);
+  }
+  sections.require(fits, "meta ranks and shape do not fit the field", "meta");
 
   std::array<la::Matrix, 3> factors;
   for (unsigned mode = 0; mode < 3; ++mode) {
-    const auto& section =
-        require_section(container, "u" + std::to_string(mode), "tucker");
-    factors[mode] = bytes_to_matrix(section.bytes);
+    const std::string name = kFactorSections[mode];
+    factors[mode] = bytes_to_matrix(sections(name).bytes);
+    sections.require(factors[mode].rows() == extent(core_shape, mode) &&
+                         factors[mode].cols() == extent(shape, mode),
+                     "factor shape mismatch", name);
   }
 
   std::vector<double> recon = codecs.reduced->decompress(core_section.bytes);
-  Shape3 shape = core_shape;
+  sections.require(recon.size() == core_shape.count(), "core size mismatch",
+                   "core");
+  Shape3 current = core_shape;
   for (unsigned mode = 0; mode < 3; ++mode) {
     Shape3 next{};
-    recon = mode_multiply(recon, shape, mode, factors[mode].transposed(),
+    recon = mode_multiply(recon, current, mode, factors[mode].transposed(),
                           next);
-    shape = next;
+    current = next;
   }
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  if (delta_values.size() != recon.size()) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "tucker decode: delta size mismatch", "delta");
-  }
-  std::vector<double> values(recon.size());
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    values[n] = recon[n] + delta_values[n];
-  }
-  return sim::Field::from_data(container.nx, container.ny, container.nz,
-                               std::move(values));
+  return recon;
 }
 
 }  // namespace rmp::core

@@ -11,7 +11,7 @@
 // fields fall back to the canonical near-square matrix view.
 #pragma once
 
-#include "core/preconditioner.hpp"
+#include "core/reduced_model.hpp"
 
 namespace rmp::core {
 
@@ -21,16 +21,20 @@ struct TuckerOptions {
   double energy_target = 0.95;
 };
 
-class TuckerPreconditioner final : public Preconditioner {
+class TuckerPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit TuckerPreconditioner(TuckerOptions options = {});
 
   std::string name() const override { return "tucker"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  /// Sections core (reduced codec), u0, u1, u2; meta [r0, r1, r2, d0, d1,
+  /// d2].
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 
   const TuckerOptions& options() const noexcept { return options_; }
 

@@ -4,9 +4,7 @@
 
 #include "compress/lossless.hpp"
 #include "core/reshape.hpp"
-#include "core/serialize.hpp"
 #include "la/sparse.hpp"
-#include "obs/obs.hpp"
 #include "wavelet/haar.hpp"
 
 namespace rmp::core {
@@ -18,12 +16,11 @@ WaveletPreconditioner::WaveletPreconditioner(WaveletOptions options)
   }
 }
 
-io::Container WaveletPreconditioner::encode(const sim::Field& field,
-                                            const CodecPair& codecs,
-                                            EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/wavelet");
+ReducedModel WaveletPreconditioner::fit(const sim::Field& field,
+                                        MatrixShape shape,
+                                        const CodecPair&) const {
   const bool use_3d = options_.transform_3d && field.rank() == 3;
-  la::Matrix coeffs = as_matrix(field);
+  la::Matrix coeffs = as_matrix(field, shape);
   if (use_3d) {
     // Same memory layout: the canonical (nx*ny, nz) matrix view of the
     // 3D coefficient array keeps the CSR machinery unchanged.
@@ -38,67 +35,44 @@ io::Container WaveletPreconditioner::encode(const sim::Field& field,
   wavelet::threshold_coefficients(coeffs, theta);
 
   const la::CsrMatrix sparse = la::CsrMatrix::from_dense(coeffs);
-  const auto sparse_bytes = compress::lossless_compress(sparse.serialize());
 
   // Reconstruction from the thresholded coefficients.
-  la::Matrix recon = coeffs;
   if (use_3d) {
-    wavelet::haar_inverse_3d(recon.flat(), field.nx(), field.ny(),
+    wavelet::haar_inverse_3d(coeffs.flat(), field.nx(), field.ny(),
                              field.nz());
   } else {
-    wavelet::haar_inverse_2d(recon);
+    wavelet::haar_inverse_2d(coeffs);
   }
-  const sim::Field delta = subtract(
-      field, matrix_to_field(recon, field.nx(), field.ny(), field.nz()));
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("sparse", sparse_bytes);
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  const std::uint64_t meta[1] = {use_3d ? 1u : 0u};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("sparse")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  ReducedModel model;
+  model.sections.push_back(
+      {"sparse", compress::lossless_compress(sparse.serialize())});
+  model.meta = {use_3d ? 1u : 0u};
+  model.reconstruction = std::move(coeffs).release();
+  return model;
 }
 
-sim::Field WaveletPreconditioner::decode(const io::Container& container,
-                                         const CodecPair& codecs,
-                                         const sim::Field*) const {
-  const obs::ScopedSpan span("wavelet");
-  const auto& sparse_section = require_section(container, "sparse", "wavelet");
-  const auto& delta_section = require_section(container, "delta", "wavelet");
+std::vector<double> WaveletPreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t> meta,
+    const compress::Dims& dims, MatrixShape shape, const CodecPair&) const {
+  const auto& sparse_section = sections("sparse");
   const auto raw = compress::lossless_decompress(sparse_section.bytes);
-  const la::CsrMatrix sparse = la::CsrMatrix::deserialize(raw.data(), raw.size());
-
-  bool use_3d = false;
-  if (const auto* meta_section = container.find("meta")) {
-    const auto meta = bytes_to_u64s(meta_section->bytes);
-    use_3d = !meta.empty() && meta[0] != 0;
-  }
+  const la::CsrMatrix sparse =
+      la::CsrMatrix::deserialize(raw.data(), raw.size());
+  sections.require(sparse.rows() == shape.first &&
+                       sparse.cols() == shape.second,
+                   "sparse matrix shape mismatch", "sparse");
+  const bool use_3d = !meta.empty() && meta[0] != 0;
+  sections.require(!use_3d || dims.rank() == 3,
+                   "3D transform on a field of lower rank", "meta");
 
   la::Matrix recon = sparse.to_dense();
   if (use_3d) {
-    wavelet::haar_inverse_3d(recon.flat(), container.nx, container.ny,
-                             container.nz);
+    wavelet::haar_inverse_3d(recon.flat(), dims.nx, dims.ny, dims.nz);
   } else {
     wavelet::haar_inverse_2d(recon);
   }
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(recon, container.nx, container.ny,
-                                  container.nz));
+  return std::move(recon).release();
 }
 
 }  // namespace rmp::core

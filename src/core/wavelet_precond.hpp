@@ -7,7 +7,7 @@
 // delta against its inverse transform is compressed at delta grade.
 #pragma once
 
-#include "core/preconditioner.hpp"
+#include "core/reduced_model.hpp"
 
 namespace rmp::core {
 
@@ -19,16 +19,20 @@ struct WaveletOptions {
   bool transform_3d = false;
 };
 
-class WaveletPreconditioner final : public Preconditioner {
+class WaveletPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit WaveletPreconditioner(WaveletOptions options = {});
 
   std::string name() const override { return "wavelet"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  /// Section sparse (lossless CSR); meta [transform_3d].  A missing meta
+  /// decodes as the paper's 2D transform.
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 
   const WaveletOptions& options() const noexcept { return options_; }
 

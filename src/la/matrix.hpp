@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace rmp::la {
@@ -48,6 +49,12 @@ class Matrix {
 
   std::span<double> flat() noexcept { return data_; }
   std::span<const double> flat() const noexcept { return data_; }
+
+  /// Move the row-major buffer out, leaving an empty 0 x 0 matrix.
+  std::vector<double> release() && {
+    rows_ = cols_ = 0;
+    return std::move(data_);
+  }
 
   Matrix transposed() const;
 

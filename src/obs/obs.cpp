@@ -113,8 +113,11 @@ struct Registry::Impl {
 };
 
 Registry::Impl& Registry::impl() const {
-  static Impl instance;
-  return instance;
+  // Leaked on purpose: pool workers record task timings after fulfilling
+  // a task's future, so they can still be writing while main() returns and
+  // static destructors run.  An immortal registry never frees under them.
+  static Impl* const instance = new Impl;
+  return *instance;
 }
 
 Registry& Registry::global() {

@@ -1,11 +1,15 @@
-#include "core/blocked.hpp"
+#include "core/partition.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "compress/factory.hpp"
+#include "core/identity.hpp"
+#include "core/pca.hpp"
 #include "core/pipeline.hpp"
+#include "core/precond_error.hpp"
+#include "core/serialize.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
@@ -30,7 +34,7 @@ class BlockedInnerSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BlockedInnerSweep, RoundTripWithinError) {
   Codecs codecs;
-  BlockedPreconditioner blocked(GetParam(), 4);
+  PartitionPreconditioner blocked(make_preconditioner(GetParam()), 4);
   const sim::Field f = heat_field();
   const auto container = blocked.encode(f, codecs.pair(), nullptr);
   const auto decoded = blocked.decode(container, codecs.pair(), nullptr);
@@ -38,8 +42,8 @@ TEST_P(BlockedInnerSweep, RoundTripWithinError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Inners, BlockedInnerSweep,
-                         ::testing::Values("identity", "pca", "svd",
-                                           "wavelet", "tucker"));
+                         ::testing::Values("pca", "svd", "wavelet",
+                                           "tucker"));
 
 TEST(Blocked, RegistryDispatch) {
   Codecs codecs;
@@ -53,7 +57,7 @@ TEST(Blocked, RegistryDispatch) {
 
 TEST(Blocked, PartitionCountClampedToRows) {
   Codecs codecs;
-  BlockedPreconditioner blocked("identity", 1000);
+  PartitionPreconditioner blocked(make_preconditioner("pca"), 1000);
   sim::Field tiny(6, 4, 1);
   for (std::size_t n = 0; n < tiny.size(); ++n) {
     tiny.flat()[n] = static_cast<double>(n);
@@ -65,7 +69,7 @@ TEST(Blocked, PartitionCountClampedToRows) {
 
 TEST(Blocked, StatsAggregateAcrossBlocks) {
   Codecs codecs;
-  BlockedPreconditioner blocked("svd", 3);
+  PartitionPreconditioner blocked(make_preconditioner("svd"), 3);
   EncodeStats stats;
   blocked.encode(heat_field(), codecs.pair(), &stats);
   EXPECT_GT(stats.reduced_bytes, 0u);
@@ -74,19 +78,82 @@ TEST(Blocked, StatsAggregateAcrossBlocks) {
 }
 
 TEST(Blocked, RejectsNesting) {
-  EXPECT_THROW(BlockedPreconditioner("blocked-pca", 2),
+  EXPECT_THROW(PartitionPreconditioner(make_preconditioner("blocked-pca"), 2),
                std::invalid_argument);
-  EXPECT_THROW(BlockedPreconditioner("pca>svd", 2), std::invalid_argument);
-  EXPECT_THROW(BlockedPreconditioner("identity", 0), std::invalid_argument);
+  EXPECT_THROW(PartitionPreconditioner(make_preconditioner("pca-part"), 2),
+               std::invalid_argument);
+  EXPECT_THROW(PartitionPreconditioner(make_preconditioner("pca>svd"), 2),
+               std::invalid_argument);
+  EXPECT_THROW(make_preconditioner("blocked-blocked-pca"),
+               std::invalid_argument);
+  EXPECT_THROW(PartitionPreconditioner(make_preconditioner("pca"), 0),
+               std::invalid_argument);
 }
 
 TEST(Blocked, DecodeRejectsMissingSections) {
   Codecs codecs;
-  BlockedPreconditioner blocked("pca", 2);
+  PartitionPreconditioner blocked(make_preconditioner("pca"), 2);
   io::Container empty;
   empty.method = "blocked-pca";
   EXPECT_THROW(blocked.decode(empty, codecs.pair(), nullptr),
                std::runtime_error);
+}
+
+TEST(Blocked, EncodeNeedsAReducedModel) {
+  Codecs codecs;
+  const auto blocked = make_preconditioner("blocked-identity");
+  EXPECT_EQ(blocked->name(), "blocked-identity");
+  EXPECT_THROW(blocked->encode(heat_field(), codecs.pair(), nullptr),
+               std::invalid_argument);
+}
+
+// Reusing PCA's fit brings its convergence check: a half-rotated basis is
+// a typed failure, not an archive.
+TEST(Blocked, InnerEigenNonConvergenceSurfaces) {
+  Codecs codecs;
+  PcaOptions options;
+  options.jacobi.max_sweeps = 1;
+  PartitionPreconditioner blocked(
+      std::make_unique<PcaPreconditioner>(options), 4, "pca-part");
+  try {
+    blocked.encode(heat_field(), codecs.pair(), nullptr);
+    FAIL() << "one Jacobi sweep encoded";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(e.code(), PrecondErrc::kEigenNonConvergence);
+  }
+}
+
+// The per-block encoder stored each row block as a whole serialized inner
+// container under "block<b>", with meta [count, rows, cols] and no global
+// delta.  Such archives still decode for inners with no reduced model.
+TEST(Blocked, LegacyIdentityArchiveDecodes) {
+  Codecs codecs;
+  const sim::Field f = heat_field();
+  const std::size_t rows = f.nx() * f.ny();
+  const std::size_t cols = f.nz();
+  const std::size_t count = 3;
+  io::Container legacy;
+  legacy.method = "blocked-identity";
+  legacy.nx = f.nx();
+  legacy.ny = f.ny();
+  legacy.nz = f.nz();
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::size_t begin = b * rows / count;
+    const std::size_t end = (b + 1) * rows / count;
+    const sim::Field block = sim::Field::from_data(
+        end - begin, cols, 1,
+        std::vector<double>(f.flat().begin() + begin * cols,
+                            f.flat().begin() + end * cols));
+    legacy.add("block" + std::to_string(b),
+               io::serialize(IdentityPreconditioner().encode(
+                   block, codecs.pair(), nullptr)));
+  }
+  const std::uint64_t meta[3] = {count, rows, cols};
+  legacy.add("meta", u64s_to_bytes(meta));
+
+  const sim::Field decoded = reconstruct(legacy, codecs.pair());
+  ASSERT_EQ(decoded.size(), f.size());
+  EXPECT_LT(stats::rmse(f.flat(), decoded.flat()), 1.0);
 }
 
 }  // namespace

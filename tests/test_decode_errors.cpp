@@ -7,7 +7,9 @@
 #include <cmath>
 
 #include "compress/factory.hpp"
+#include "core/identity.hpp"
 #include "core/pipeline.hpp"
+#include "core/serialize.hpp"
 
 namespace rmp::core {
 namespace {
@@ -97,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                          ::testing::Values("identity", "one-base",
                                            "multi-base", "duomodel", "pca",
                                            "svd", "wavelet", "pca-part",
-                                           "tucker"),
+                                           "tucker", "blocked-pca",
+                                           "blocked-svd"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -105,6 +108,127 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                            }
                            return name;
                          });
+
+// Hostile partition metadata: every case must end in a typed
+// ContainerError{kSectionMalformed} before anything is sized from it --
+// no division by a zero count, no bad_alloc from a huge one.
+void expect_malformed(const io::Container& container) {
+  Codecs codecs;
+  try {
+    reconstruct(container, codecs.pair());
+    FAIL() << "hostile " << container.method << " meta decoded";
+  } catch (const io::ContainerError& e) {
+    EXPECT_EQ(e.code(), io::ContainerErrc::kSectionMalformed) << e.what();
+  }
+}
+
+void set_meta(io::Container& container, std::span<const std::uint64_t> meta) {
+  for (auto& section : container.sections) {
+    if (section.name == "meta") section.bytes = u64s_to_bytes(meta);
+  }
+}
+
+std::vector<std::uint64_t> meta_of(const io::Container& container) {
+  return bytes_to_u64s(container.find("meta")->bytes);
+}
+
+io::Container encoded(const std::string& method) {
+  Codecs codecs;
+  return make_preconditioner(method)->encode(field3d(), codecs.pair(),
+                                             nullptr);
+}
+
+TEST(PartitionMeta, ZeroBlockCountIsMalformed) {
+  for (const char* method : {"pca-part", "blocked-svd"}) {
+    io::Container container = encoded(method);
+    auto meta = meta_of(container);
+    meta[0] = 0;
+    set_meta(container, meta);
+    expect_malformed(container);
+  }
+}
+
+TEST(PartitionMeta, HugeBlockCountIsMalformed) {
+  for (const char* method : {"pca-part", "blocked-pca", "blocked-svd"}) {
+    io::Container container = encoded(method);
+    auto meta = meta_of(container);
+    meta[0] = std::uint64_t{1} << 40;
+    set_meta(container, meta);
+    expect_malformed(container);
+  }
+}
+
+TEST(PartitionMeta, HugeBlockRowCountIsMalformed) {
+  // pca-part meta: [count, k0, rows0, k1, rows1, ...].
+  io::Container container = encoded("pca-part");
+  auto meta = meta_of(container);
+  meta[2] = std::uint64_t{1} << 40;
+  set_meta(container, meta);
+  expect_malformed(container);
+}
+
+TEST(PartitionMeta, BlockRowsThatDoNotSumToRowsAreMalformed) {
+  io::Container container = encoded("pca-part");
+  auto meta = meta_of(container);
+  meta[2] += 1;
+  meta[4] -= 1;
+  set_meta(container, meta);
+  expect_malformed(container);
+}
+
+TEST(PartitionMeta, MetaWordsThatDoNotSplitIntoBlocksAreMalformed) {
+  io::Container container = encoded("blocked-svd");
+  auto meta = meta_of(container);
+  meta.push_back(0);
+  set_meta(container, meta);
+  expect_malformed(container);
+}
+
+// The earlier per-block layout: "block<b>" holds a serialized inner
+// container, meta is [count, rows, cols], and there is no global delta.
+io::Container legacy_blocked(std::uint64_t count, std::uint64_t rows,
+                             std::uint64_t cols) {
+  Codecs codecs;
+  const sim::Field f = field3d();
+  io::Container legacy;
+  legacy.method = "blocked-identity";
+  legacy.nx = f.nx();
+  legacy.ny = f.ny();
+  legacy.nz = f.nz();
+  const std::size_t real_rows = f.nx() * f.ny();
+  for (std::size_t b = 0; b < 2; ++b) {
+    const std::size_t begin = b * real_rows / 2;
+    const std::size_t end = (b + 1) * real_rows / 2;
+    const sim::Field block = sim::Field::from_data(
+        end - begin, f.nz(), 1,
+        std::vector<double>(f.flat().begin() + begin * f.nz(),
+                            f.flat().begin() + end * f.nz()));
+    legacy.add("block" + std::to_string(b),
+               io::serialize(IdentityPreconditioner().encode(
+                   block, codecs.pair(), nullptr)));
+  }
+  const std::uint64_t meta[3] = {count, rows, cols};
+  legacy.add("meta", u64s_to_bytes(meta));
+  return legacy;
+}
+
+TEST(PartitionMeta, LegacyLayoutStillDecodes) {
+  Codecs codecs;
+  const sim::Field decoded =
+      reconstruct(legacy_blocked(2, 64, 8), codecs.pair());
+  EXPECT_EQ(decoded.size(), field3d().size());
+}
+
+TEST(PartitionMeta, LegacyHostileMetaIsMalformed) {
+  expect_malformed(legacy_blocked(0, 64, 8));
+  expect_malformed(legacy_blocked(std::uint64_t{1} << 40, 64, 8));
+  expect_malformed(
+      legacy_blocked(std::uint64_t{1} << 40, std::uint64_t{1} << 40, 1));
+  expect_malformed(legacy_blocked(2, std::uint64_t{1} << 40, 8));
+  expect_malformed(legacy_blocked(2, 32, 8));
+  expect_malformed(legacy_blocked(2, 64, 0));
+  expect_malformed(legacy_blocked(1, 64, 8));  // one block cannot hold 64 rows
+}
 
 TEST(DecodeErrors, ReconstructRejectsUnknownMethod) {
   Codecs codecs;

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "compress/factory.hpp"
-#include "core/partitioned.hpp"
+#include "core/partition.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/svd_precond.hpp"
@@ -124,7 +124,8 @@ class PartitionSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PartitionSweep, EveryPartitionCountRoundTrips) {
   Codecs codecs;
-  PartitionedPcaPreconditioner preconditioner({GetParam(), 0.95});
+  PartitionPreconditioner preconditioner(
+      std::make_unique<PcaPreconditioner>(), GetParam(), "pca-part");
   const auto container =
       preconditioner.encode(test_field(), codecs.pair(), nullptr);
   const auto decoded =

@@ -4,7 +4,7 @@
 
 #include "compress/factory.hpp"
 #include "core/identity.hpp"
-#include "core/partitioned.hpp"
+#include "core/partition.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/reshape.hpp"
@@ -282,7 +282,8 @@ TEST(Wavelet, RejectsBadThreshold) {
 
 TEST(PartitionedPca, RoundTripWithinError) {
   Codecs codecs;
-  PartitionedPcaPreconditioner p({4, 0.95});
+  PartitionPreconditioner p(std::make_unique<PcaPreconditioner>(), 4,
+                            "pca-part");
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
@@ -292,8 +293,9 @@ TEST(PartitionedPca, SinglePartitionMatchesPcaClosely) {
   const sim::Field f = smooth_3d_field(10);
   const double whole = round_trip_rmse(PcaPreconditioner(), f, codecs.pair());
   const double part =
-      round_trip_rmse(PartitionedPcaPreconditioner({1, 0.95}), f,
-                      codecs.pair());
+      round_trip_rmse(PartitionPreconditioner(
+                          std::make_unique<PcaPreconditioner>(), 1, "pca-part"),
+                      f, codecs.pair());
   EXPECT_NEAR(part, whole, std::max(whole, part) * 0.5 + 1e-9);
 }
 
