@@ -400,6 +400,39 @@ std::uint32_t peek_version(std::span<const std::uint8_t> bytes) {
   return version;
 }
 
+/// Parse the v3/v4 header at the start of `file`.  The header length is
+/// not known until it parses; read a window and double it on kTruncated
+/// until the parse fits (or the window is the whole file, at which point
+/// kTruncated is real).
+HeaderV3 read_file_header(const ReadFile& file) {
+  const std::uint64_t size = file.size();
+  std::vector<std::uint8_t> prefix;
+  std::size_t window =
+      static_cast<std::size_t>(std::min<std::uint64_t>(size, 4096));
+  for (;;) {
+    prefix.resize(window);
+    file.read_exact_at(0, prefix.data(), window);
+    try {
+      if (peek_version(prefix) == kVersionV2) {
+        throw ContainerError(
+            ContainerErrc::kBadVersion,
+            "v2 containers have one whole-file integrity domain and "
+            "cannot be read seekably; use read_container");
+      }
+      return parse_v34_header(prefix, size);
+    } catch (const ContainerError& error) {
+      if (error.code() == ContainerErrc::kTruncated && window < size) {
+        window = static_cast<std::size_t>(
+            std::min<std::uint64_t>(size, std::uint64_t{window} * 2));
+        continue;
+      }
+      throw;
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path,
                                           const char* who) {
   std::ifstream file(path, std::ios::binary | std::ios::ate);
@@ -428,8 +461,6 @@ std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path,
   }
   return bytes;
 }
-
-}  // namespace
 
 std::size_t Container::payload_bytes() const {
   std::size_t total = 0;
@@ -577,6 +608,14 @@ std::optional<std::size_t> probe_container(
   }
 }
 
+std::optional<std::uint64_t> probe_container_header(const ReadFile& file) {
+  try {
+    return read_file_header(file).total_size;
+  } catch (const ContainerError&) {
+    return std::nullopt;
+  }
+}
+
 void write_container(const std::filesystem::path& path,
                      const Container& container,
                      const SerializeOptions& options) {
@@ -617,34 +656,7 @@ ContainerFileReader::ContainerFileReader(const std::filesystem::path& path,
     throw ContainerError(ContainerErrc::kTruncated,
                          path.string() + " is empty");
   }
-  // The header length is not known until it parses; read a window and
-  // double it on kTruncated until the parse fits (or the window is the
-  // whole file, at which point kTruncated is real).
-  std::vector<std::uint8_t> prefix;
-  std::size_t window =
-      static_cast<std::size_t>(std::min<std::uint64_t>(size, 4096));
-  HeaderV3 header;
-  for (;;) {
-    prefix.resize(window);
-    file_.read_exact_at(0, prefix.data(), window);
-    try {
-      if (peek_version(prefix) == kVersionV2) {
-        throw ContainerError(
-            ContainerErrc::kBadVersion,
-            "v2 containers have one whole-file integrity domain and "
-            "cannot be read seekably; use read_container");
-      }
-      header = parse_v34_header(prefix, size);
-      break;
-    } catch (const ContainerError& error) {
-      if (error.code() == ContainerErrc::kTruncated && window < size) {
-        window = static_cast<std::size_t>(
-            std::min<std::uint64_t>(size, std::uint64_t{window} * 2));
-        continue;
-      }
-      throw;
-    }
-  }
+  HeaderV3 header = read_file_header(file_);
   if (size > header.total_size) {
     throw ContainerError(ContainerErrc::kTrailingGarbage,
                          "file extends past container footprint");

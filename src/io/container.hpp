@@ -118,6 +118,18 @@ Container deserialize_salvage(std::span<const std::uint8_t> bytes,
 std::optional<std::size_t> probe_container(
     std::span<const std::uint8_t> bytes) noexcept;
 
+/// The footprint a v3/v4 header at the start of `file` declares, read
+/// from the header alone (payloads are neither read nor checked);
+/// std::nullopt when none parses there.  v2 gives std::nullopt too: its
+/// footprint needs the whole-file walk of probe_container.
+std::optional<std::uint64_t> probe_container_header(const ReadFile& file);
+
+/// Whole file into memory for the in-memory parsers.  Throws
+/// ContainerError{kIoError} when it cannot be opened or read, and
+/// {kTruncated} when it is empty; `who` prefixes the message.
+std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path,
+                                          const char* who);
+
 /// File round trip.  Writes are atomic: a temp file is populated first
 /// and renamed over `path`, so a crashed writer never leaves a torn
 /// archive at the destination.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "io/checksum.hpp"
 #include "obs/obs.hpp"
@@ -92,6 +93,97 @@ std::vector<std::uint8_t> encode_trailer(
   put_u64(index.size());
   put_u64(kSequenceMagicV2);
   return trailer;
+}
+
+// The sniff opens files under the reader's name, so a missing input
+// reports the same error whether or not it was sniffed first.
+constexpr const char* kReaderName = "SequenceReader";
+
+/// The trailing index, when it is usable: a known magic, a count that
+/// fits the file, and every entry inside the data region (overflow-safe).
+/// std::nullopt otherwise.  Every read checks its byte count, so a file
+/// truncated *inside* the trailer never yields an index built from stale
+/// or partial buffer contents.
+std::optional<std::vector<StepInfo>> read_trailer_index(const ReadFile& file) {
+  const std::uint64_t file_size = file.size();
+  std::uint8_t tail[16];
+  if (file_size < 16 ||
+      file.read_at(file_size - 16, tail, sizeof(tail)) != sizeof(tail)) {
+    return std::nullopt;
+  }
+  std::uint64_t count = 0, magic = 0;
+  std::memcpy(&count, tail, 8);
+  std::memcpy(&magic, tail + 8, 8);
+  // Entry stride by trailer generation: 20 bytes with the CRC column, 16
+  // before it.
+  const std::size_t stride = magic == kSequenceMagicV2 ? 20
+                             : magic == kSequenceMagic ? 16
+                                                       : 0;
+  if (stride == 0 || count > (file_size - 16) / stride) return std::nullopt;
+  const std::uint64_t data_end = file_size - 16 - count * stride;
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(count * stride));
+  if (file.read_at(data_end, raw.data(), raw.size()) != raw.size()) {
+    return std::nullopt;
+  }
+  std::vector<StepInfo> index(static_cast<std::size_t>(count));
+  const std::uint8_t* p = raw.data();
+  for (StepInfo& entry : index) {
+    std::memcpy(&entry.offset, p, 8);
+    std::memcpy(&entry.size, p + 8, 8);
+    if (stride == 20) {
+      std::memcpy(&entry.crc, p + 16, 4);
+      entry.has_crc = true;
+    }
+    p += stride;
+    if (entry.offset > data_end || entry.size > data_end - entry.offset) {
+      return std::nullopt;
+    }
+  }
+  return index;
+}
+
+std::vector<std::uint8_t> read_whole_file(const ReadFile& file) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file.size()));
+  file.read_exact_at(0, bytes.data(), bytes.size());
+  return bytes;
+}
+
+/// The index rebuild's forward scan.  A journaled file (crashed writer,
+/// or a trailer chopped off) carries a validated commit marker after
+/// every step: trust that chain first.  Then fall back to (or continue
+/// with) the magic-byte scan past the committed prefix: it recovers
+/// marker-less files written by older versions and steps whose own
+/// marker was damaged but whose container still decodes.
+std::vector<StepInfo> scan_for_steps(std::span<const std::uint8_t> bytes) {
+  std::vector<StepInfo> steps;
+  const JournalScan scan = scan_sequence_journal(bytes);
+  for (const auto& entry : scan.entries) {
+    steps.push_back({entry.offset, entry.size, entry.crc, true});
+  }
+  std::size_t pos = static_cast<std::size_t>(scan.committed_bytes);
+  while (pos + sizeof(kContainerMagicBytes) <= bytes.size()) {
+    const auto it = std::search(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                                bytes.end(), std::begin(kContainerMagicBytes),
+                                std::end(kContainerMagicBytes));
+    if (it == bytes.end()) break;
+    const auto candidate = static_cast<std::size_t>(it - bytes.begin());
+    if (const auto size = probe_container(bytes.subspan(candidate))) {
+      steps.push_back({candidate, *size});
+      pos = candidate + *size;
+    } else {
+      // Not (or no longer) a readable container here; resume scanning one
+      // byte further so later steps are still recovered.
+      pos = candidate + 1;
+    }
+  }
+  return steps;
+}
+
+/// Sequence evidence the scan cannot fake on a plain container: more
+/// than one step, or a step located via its CRC'd commit marker.  A lone
+/// magic-scan step is just the container itself.
+bool has_sequence_evidence(const std::vector<StepInfo>& steps) {
+  return steps.size() > 1 || (steps.size() == 1 && steps[0].has_crc);
 }
 
 }  // namespace
@@ -301,126 +393,37 @@ void write_sequence_archive(
   atomic_publish_bytes(path, bytes, "write_sequence_archive", policy);
 }
 
-SequenceReader::SequenceReader(const std::filesystem::path& path,
-                               const SequenceReadOptions& options)
-    : file_(ReadFile::open(path, "SequenceReader")) {
-  const std::uint64_t file_size = file_.size();
-
+SequenceReader::SequenceReader(const std::filesystem::path& path)
+    : file_(ReadFile::open(path, kReaderName)) {
   // Try the trailing index first; fall back to a forward scan whenever it
   // is missing or implausible (crashed writer, truncated copy, corrupt
-  // trailer bytes).  Every read here checks its actual byte count: a file
-  // truncated *inside* the trailer must land in the rebuild path below,
-  // never produce an index built from stale or partial buffer contents.
-  std::string index_problem;
-  if (file_size < 16) {
-    index_problem = "file too small for a trailer";
-  } else {
-    std::uint8_t tail[16];
-    std::uint64_t count = 0, magic = 0;
-    if (file_.read_at(file_size - 16, tail, sizeof(tail)) != sizeof(tail)) {
-      index_problem = "trailer read came up short";
-    } else {
-      std::memcpy(&count, tail, 8);
-      std::memcpy(&magic, tail + 8, 8);
-      // Entry stride by trailer generation: 20 bytes with the CRC column,
-      // 16 before it.
-      std::size_t stride = 0;
-      if (magic == kSequenceMagicV2) {
-        stride = 20;
-      } else if (magic == kSequenceMagic) {
-        stride = 16;
-      } else {
-        index_problem = "bad trailer magic";
-      }
-      if (stride != 0) {
-        if (count > (file_size - 16) / stride) {
-          index_problem = "index count larger than file";
-        } else {
-          const std::uint64_t index_bytes = count * stride;
-          const std::uint64_t data_end = file_size - 16 - index_bytes;
-          std::vector<std::uint8_t> raw(
-              static_cast<std::size_t>(index_bytes));
-          if (file_.read_at(data_end, raw.data(), raw.size()) != raw.size()) {
-            index_problem = "index read came up short";
-          } else {
-            index_.resize(static_cast<std::size_t>(count));
-            const std::uint8_t* p = raw.data();
-            for (auto& entry : index_) {
-              std::memcpy(&entry.offset, p, 8);
-              std::memcpy(&entry.size, p + 8, 8);
-              if (stride == 20) {
-                std::memcpy(&entry.crc, p + 16, 4);
-                entry.has_crc = true;
-              }
-              p += stride;
-            }
-            // Every entry must lie inside the data region (overflow-safe).
-            for (const StepInfo& entry : index_) {
-              if (entry.offset > data_end ||
-                  entry.size > data_end - entry.offset) {
-                index_problem = "index entry out of bounds";
-                index_.clear();
-                break;
-              }
-            }
-          }
-        }
-      }
-    }
+  // trailer bytes).
+  if (auto index = read_trailer_index(file_)) {
+    index_ = std::move(*index);
+    return;
   }
-  if (!index_problem.empty()) {
-    index_.clear();
-    if (!options.allow_index_rebuild) {
-      throw ContainerError(ContainerErrc::kIndexCorrupt,
-                           "SequenceReader: " + index_problem);
-    }
-    rebuild_index();
-    rebuilt_ = true;
-    obs::count("io.sequence.index_rebuilds");
-  }
-}
-
-void SequenceReader::rebuild_index() {
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file_.size()));
-  if (file_.read_at(0, bytes.data(), bytes.size()) != bytes.size()) {
-    throw ContainerError(ContainerErrc::kIoError,
-                         "SequenceReader: cannot read file for index rebuild");
-  }
-  const std::span<const std::uint8_t> span(bytes);
-
-  // A journaled file (crashed writer, or a trailer chopped off) carries a
-  // validated commit marker after every step: trust that chain first.
-  const JournalScan scan = scan_sequence_journal(span);
-  for (const auto& entry : scan.entries) {
-    index_.push_back({entry.offset, entry.size, entry.crc, true});
-  }
-
-  // Fall back to (or continue with) the magic-byte scan past the
-  // committed prefix: recovers marker-less files written by older
-  // versions and steps whose own marker was damaged but whose container
-  // still decodes.
-  std::size_t pos = static_cast<std::size_t>(scan.committed_bytes);
-  while (pos + sizeof(kContainerMagicBytes) <= bytes.size()) {
-    const auto it = std::search(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                                bytes.end(), std::begin(kContainerMagicBytes),
-                                std::end(kContainerMagicBytes));
-    if (it == bytes.end()) break;
-    const auto candidate =
-        static_cast<std::size_t>(it - bytes.begin());
-    if (const auto size = probe_container(span.subspan(candidate))) {
-      index_.push_back({candidate, *size});
-      pos = candidate + *size;
-    } else {
-      // Not (or no longer) a readable container here; resume scanning one
-      // byte further so later steps are still recovered.
-      pos = candidate + 1;
-    }
-  }
+  index_ = scan_for_steps(read_whole_file(file_));
   if (index_.empty()) {
     throw ContainerError(
         ContainerErrc::kIndexCorrupt,
         "SequenceReader: no trailing index and no recoverable steps");
   }
+  rebuilt_ = true;
+  obs::count("io.sequence.index_rebuilds");
+}
+
+ArchiveKind sniff_archive(const std::filesystem::path& path) {
+  const ReadFile file = ReadFile::open(path, kReaderName);
+  if (read_trailer_index(file)) return ArchiveKind::kSequence;
+  // A header declaring exactly the file's size leaves no room for a
+  // commit marker after it, and the rebuild scan would find that one
+  // container alone: a plain container, settled by the head bytes.
+  if (probe_container_header(file) == file.size()) {
+    return ArchiveKind::kContainer;
+  }
+  return has_sequence_evidence(scan_for_steps(read_whole_file(file)))
+             ? ArchiveKind::kTornSequence
+             : ArchiveKind::kContainer;
 }
 
 const StepInfo& SequenceReader::step_info(std::size_t step) const {

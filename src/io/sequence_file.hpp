@@ -144,13 +144,6 @@ void write_sequence_archive(
     const std::vector<std::vector<std::uint8_t>>& steps,
     const RetryPolicy& policy = {});
 
-struct SequenceReadOptions {
-  /// When the trailing index is missing or implausible, forward-scan the
-  /// file for container headers instead of failing (crashed-writer
-  /// recovery).  The reader still throws if no step can be located.
-  bool allow_index_rebuild = true;
-};
-
 /// Per-step verdict from a salvage pass.
 struct StepHealth {
   std::size_t step = 0;
@@ -175,6 +168,27 @@ struct StepInfo {
   bool has_crc = false;
 };
 
+/// What a file is, as decided by sniff_archive.
+enum class ArchiveKind {
+  /// The trailer magic matches and the index passes the reader's checks:
+  /// SequenceReader opens it without a rebuild.
+  kSequence,
+  /// No usable trailer, but sequence evidence a plain container cannot
+  /// fake: more than one step, or a step found through its CRC'd commit
+  /// marker.  SequenceReader opens it by rebuilding the index.
+  kTornSequence,
+  /// Everything else: a plain v2/v3/v4 container, or damage that
+  /// read_container reports typed (bad magic, truncation, trailing bytes).
+  kContainer,
+};
+
+/// Classify a file without exceptions and without counting anything.
+/// An intact trailer or a v3/v4 header that declares exactly the file's
+/// size settles the kind from the tail and head bytes; only files that
+/// are neither are scanned in full, with the reader's rebuild scan.
+/// Throws ContainerError only when the file cannot be opened or read.
+ArchiveKind sniff_archive(const std::filesystem::path& path);
+
 /// Thread-safe random-access reader.  All read methods are const and go
 /// through stateless positional reads (io::ReadFile / FileOps::pread) --
 /// there is no shared stream cursor, so ONE SequenceReader instance may
@@ -183,8 +197,11 @@ struct StepInfo {
 /// trailer parse at open touches only the index, never the step data.
 class SequenceReader {
  public:
-  explicit SequenceReader(const std::filesystem::path& path,
-                          const SequenceReadOptions& options = {});
+  /// Opens by the trailing index, or rebuilds the index by forward scan
+  /// when the trailer is missing or implausible (throws
+  /// ContainerError{kIndexCorrupt} when no step can be located).  Callers
+  /// that must not rebuild sniff_archive first.
+  explicit SequenceReader(const std::filesystem::path& path);
 
   std::size_t step_count() const noexcept { return index_.size(); }
 
@@ -216,8 +233,6 @@ class SequenceReader {
       SequenceScanReport* report = nullptr) const;
 
  private:
-  void rebuild_index();
-
   ReadFile file_;
   std::vector<StepInfo> index_;
   bool rebuilt_ = false;

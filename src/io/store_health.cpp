@@ -81,9 +81,6 @@ std::array<std::uint8_t, kRequestLogRecordBytes> encode_request_record(
   return bytes;
 }
 
-/// What one store file turned out to be.
-enum class FileKind : std::uint8_t { kContainer, kSequence, kUnreadable };
-
 // Names the scrubber must never touch: journals (resume's territory),
 // request logs (recovery metadata), staging temps, dot-files, and the
 // quarantine manifest's directory (skipped anyway as non-regular).
@@ -277,52 +274,55 @@ ScrubReport scrub_one_file(const std::filesystem::path& dir,
   ScrubReport report;
   report.files_checked = 1;
   const std::string name = path.filename().string();
+  auto quarantine = [&](const std::string& reason, const std::string& note) {
+    quarantine_file(dir, path, reason);
+    report.files_quarantined = 1;
+    report.notes.push_back(name + ": quarantined (" + note + ")");
+    return report;
+  };
 
-  const auto bytes = try_read_bytes(path);
-  if (!bytes) {
+  ArchiveKind kind = ArchiveKind::kContainer;
+  try {
+    kind = sniff_archive(path);
+  } catch (const std::exception&) {
     report.notes.push_back(name + ": unreadable");
     return report;
   }
-  if (bytes->empty()) {
-    quarantine_file(dir, path, "empty file");
-    report.files_quarantined = 1;
-    report.notes.push_back(name + ": quarantined (empty file)");
-    return report;
+  // A published sequence must carry its trailer: a torn one is damage,
+  // not a journal to resume (those live at `<path>.part`).
+  if (kind == ArchiveKind::kTornSequence) {
+    return quarantine("sequence trailing index unusable",
+                      "sequence trailing index unusable");
   }
 
-  // A store file is either a single container (probe consumes the whole
-  // file) or a sequence archive; anything else is unrecognizable damage.
-  const auto probed = probe_container(*bytes);
-  if (probed && *probed == bytes->size()) {
+  if (kind == ArchiveKind::kContainer) {
+    const auto bytes = try_read_bytes(path);
+    if (!bytes) {
+      report.notes.push_back(name + ": unreadable");
+      return report;
+    }
+    if (bytes->empty()) return quarantine("empty file", "empty file");
     ReadReport rr;
     Container container;
     try {
       container = deserialize_salvage(*bytes, &rr);
     } catch (const std::exception& e) {
-      quarantine_file(dir, path, std::string("unusable container: ") +
-                                     e.what());
-      report.files_quarantined = 1;
-      report.notes.push_back(name + ": quarantined (unusable container)");
-      return report;
+      return quarantine(std::string("unusable container: ") + e.what(),
+                        "unusable container");
     }
     report.sections_checked = rr.sections.size();
     if (!rr.complete()) {
-      quarantine_file(dir, path,
-                      "damaged sections beyond repair: " +
-                          join_names(rr.damaged()));
-      report.files_quarantined = 1;
-      report.notes.push_back(name + ": quarantined (damaged: " +
-                             join_names(rr.damaged()) + ")");
-      return report;
+      return quarantine(
+          "damaged sections beyond repair: " + join_names(rr.damaged()),
+          "damaged: " + join_names(rr.damaged()));
     }
     if (rr.repaired()) {
       // Parity rebuilt every damaged section: republish the healed bytes
       // in the file's own format (parity/chunk-index inferred from what
       // it actually carried) so the store converges back to clean.
-      SerializeOptions out;
-      out.with_parity = rr.parity_present;
-      out.with_chunk_index = rr.version >= 4;
-      out.retry = options.retry;
+      const SerializeOptions out{.with_parity = rr.parity_present,
+                                 .with_chunk_index = rr.version >= 4,
+                                 .retry = options.retry};
       atomic_publish_bytes(path, serialize(container, out), "scrub_store",
                            options.retry);
       report.sections_repaired = count_repaired(rr);
@@ -339,7 +339,7 @@ ScrubReport scrub_one_file(const std::filesystem::path& dir,
   std::vector<std::vector<std::uint8_t>> steps;
   bool republish = false;
   try {
-    const SequenceReader reader(path, {.allow_index_rebuild = false});
+    const SequenceReader reader(path);
     steps.reserve(reader.step_count());
     for (std::size_t s = 0; s < reader.step_count(); ++s) {
       auto step_bytes = reader.read_step_bytes(s);
@@ -353,23 +353,18 @@ ScrubReport scrub_one_file(const std::filesystem::path& dir,
                                  join_names(rr.damaged()));
       }
       if (rr.repaired()) {
-        SerializeOptions out;
-        out.with_parity = rr.parity_present;
-        out.with_chunk_index = rr.version >= 4;
-        out.retry = options.retry;
-        step_bytes = serialize(container, out);
+        step_bytes = serialize(
+            container, {.with_parity = rr.parity_present,
+                        .with_chunk_index = rr.version >= 4,
+                        .retry = options.retry});
         report.sections_repaired += count_repaired(rr);
         republish = true;
       }
       steps.push_back(std::move(step_bytes));
     }
   } catch (const std::exception& e) {
-    quarantine_file(dir, path, e.what());
     report.sections_repaired = 0;
-    report.files_quarantined = 1;
-    report.notes.push_back(name + ": quarantined (" + std::string(e.what()) +
-                           ")");
-    return report;
+    return quarantine(e.what(), e.what());
   }
   if (republish) {
     write_sequence_archive(path, steps, options.retry);

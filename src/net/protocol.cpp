@@ -242,7 +242,11 @@ std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t request_id,
   store_le32(out.data() + 24, static_cast<std::uint32_t>(payload.size()));
   store_le32(out.data() + 28, payload.empty() ? 0u : io::crc32(payload));
   store_le32(out.data() + 32, io::crc32({out.data(), 32}));
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  // An empty payload's data() may be null, which memcpy must never see.
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
+  }
   return out;
 }
 

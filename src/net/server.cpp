@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -96,9 +95,7 @@ struct StoreReadCache {
   core::ChunkFetcher fetcher;
 
   StoreReadCache(std::uint64_t size, const std::filesystem::path& path)
-      : file_size(size),
-        reader(path,
-               io::SequenceReadOptions{.allow_index_rebuild = false}),
+      : file_size(size), reader(path),
         fetcher(core::make_sequence_fetcher(reader)) {}
 };
 
@@ -985,30 +982,35 @@ std::shared_ptr<StoreReadCache> Server::store_read_cache(
   auto it = store_readers_.find(name);
   if (it != store_readers_.end() && it->second->file_size == size)
     return it->second;
-  // New store, or a writer re-published it (size changed): (re)open.  A
-  // file without a sequence trailer is a plain container store, not an
-  // error -- signalled by nullptr so the caller takes the whole-file
-  // decode path.
-  try {
-    auto cache = std::make_shared<StoreReadCache>(size, path);
-    store_readers_[name] = cache;
-    return cache;
-  } catch (const io::ContainerError& error) {
-    if (error.code() == io::ContainerErrc::kIndexCorrupt) {
-      store_readers_.erase(name);
-      return nullptr;
-    }
-    throw;
+  // New store, or a writer re-published it (size changed): (re)open.
+  // Only an intact sequence archive gets a seekable reader.  Anything
+  // else -- a plain container store, or a sequence whose trailer is torn
+  // -- is signalled by nullptr so the caller takes the whole-file decode
+  // path, which rejects a torn store typed.
+  if (io::sniff_archive(path) != io::ArchiveKind::kSequence) {
+    store_readers_.erase(name);
+    return nullptr;
   }
+  auto cache = std::make_shared<StoreReadCache>(size, path);
+  store_readers_[name] = cache;
+  return cache;
 }
 
 void Server::handle_decode(Job& job) {
   DecodeRequest request = DecodeRequest::decode(job.frame.payload);
   const CodecSet codecs = make_codecs(request.codec);
   DecodeResponse response;
+  const auto respond = [&](sim::Field field) {
+    response.nx = field.nx();
+    response.ny = field.ny();
+    response.nz = field.nz();
+    response.data = std::move(field.storage());
+    send_frame(job.session, MsgType::kDecodeResult,
+               job.frame.header.request_id, response.encode());
+  };
 
   // Resolve the archive bytes: inline in the request, or a server-side
-  // store read (seekable, chunk-cached for sequence archives).
+  // store read (seekable, chunk-cached for intact sequence archives).
   if (!request.store_name.empty()) {
     if (!options_.output_dir)
       throw NetError(NetErrc::kMalformedPayload,
@@ -1018,66 +1020,35 @@ void Server::handle_decode(Job& job) {
     const std::filesystem::path path =
         *options_.output_dir / request.store_name;
     const auto cache = store_read_cache(request.store_name, path);
-    if (cache) {
+    if (!cache) {
+      // Plain container store, or a torn sequence the container parse
+      // rejects typed: decode the whole file like inline bytes.
+      request.container = io::read_file_bytes(path, "store read");
+    } else {
       if (request.step >= cache->reader.step_count())
         throw NetError(NetErrc::kMalformedPayload,
                        "store '" + request.store_name + "' has " +
                            std::to_string(cache->reader.step_count()) +
                            " steps; step " + std::to_string(request.step) +
                            " requested");
-      if (request.best_effort) {
-        const auto bytes =
-            cache->reader.read_step_bytes(
-                static_cast<std::size_t>(request.step));
-        auto result = core::reconstruct_best_effort(
-            std::span<const std::uint8_t>(bytes), codecs.pair());
-        response.nx = result.field.nx();
-        response.ny = result.field.ny();
-        response.nz = result.field.nz();
-        if (!result.exact) response.detail = result.detail;
-        response.data = std::move(result.field.storage());
-      } else {
-        const core::ChunkPtr chunk =
-            cache->fetcher.get(static_cast<std::size_t>(request.step));
-        sim::Field field = core::reconstruct(*chunk, codecs.pair());
-        response.nx = field.nx();
-        response.ny = field.ny();
-        response.nz = field.nz();
-        response.data = std::move(field.storage());
+      const auto step = static_cast<std::size_t>(request.step);
+      if (!request.best_effort) {
+        respond(core::reconstruct(*cache->fetcher.get(step), codecs.pair()));
+        return;
       }
-      send_frame(job.session, MsgType::kDecodeResult,
-                 job.frame.header.request_id, response.encode());
-      return;
+      request.container = cache->reader.read_step_bytes(step);
     }
-    // Plain container store: read the whole file and fall through to the
-    // inline-bytes decode below.
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw NetError(NetErrc::kIoError,
-                     "store '" + request.store_name + "': cannot open " +
-                         path.string());
-    request.container.assign(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
   }
 
   if (request.best_effort) {
     auto result = core::reconstruct_best_effort(
         std::span<const std::uint8_t>(request.container), codecs.pair());
-    response.nx = result.field.nx();
-    response.ny = result.field.ny();
-    response.nz = result.field.nz();
     if (!result.exact) response.detail = result.detail;
-    response.data = std::move(result.field.storage());
+    respond(std::move(result.field));
   } else {
-    const io::Container container = io::deserialize(request.container);
-    sim::Field field = core::reconstruct(container, codecs.pair());
-    response.nx = field.nx();
-    response.ny = field.ny();
-    response.nz = field.nz();
-    response.data = std::move(field.storage());
+    respond(core::reconstruct(io::deserialize(request.container),
+                              codecs.pair()));
   }
-  send_frame(job.session, MsgType::kDecodeResult, job.frame.header.request_id,
-             response.encode());
 }
 
 void Server::handle_verify(Job& job) {

@@ -224,6 +224,51 @@ TEST_F(RecoveryTest, ScrubSkipListLeavesLiveSequencesAlone) {
   EXPECT_FALSE(fs::exists(store / "live.rmps"));
 }
 
+TEST_F(RecoveryTest, ScrubOutcomeFollowsTheArchiveKind) {
+  const fs::path store = fresh_store("store");
+  SerializeOptions options;
+  options.with_parity = true;
+  spit(store / "clean.rmp", serialize(sample(0), options));
+  {
+    SequenceWriter writer(store / "clean.rmps", options);
+    for (int i = 0; i < kSteps; ++i) writer.append(sample(i));
+    writer.finish();
+  }
+  const auto sequence = slurp(store / "clean.rmps");
+
+  // An intact sequence with one parity-repairable step is healed.
+  auto healable = sequence;
+  {
+    auto step = serialize(sample(1), options);
+    testing::corrupt_section(step, sample(1), /*with_parity=*/true, 0);
+    const SequenceReader reader(store / "clean.rmps");
+    std::copy(step.begin(), step.end(),
+              healable.begin() +
+                  static_cast<std::ptrdiff_t>(reader.step_info(1).offset));
+  }
+  spit(store / "healable.rmps", healable);
+  // A torn sequence, a container with trailing bytes and an empty file
+  // are damage.
+  spit(store / "torn.rmps",
+       std::span<const std::uint8_t>(sequence).first(sequence.size() - 5));
+  auto trailing = serialize(sample(2), options);
+  trailing.push_back(0xAB);
+  spit(store / "trailing.rmp", trailing);
+  spit(store / "empty.rmp", std::vector<std::uint8_t>{});
+
+  const ScrubReport report = scrub_store(store);
+  EXPECT_EQ(report.files_checked, 6u);
+  EXPECT_EQ(report.files_repaired, 1u);
+  EXPECT_EQ(report.files_quarantined, 3u);
+  EXPECT_EQ(slurp(store / "healable.rmps"), sequence);
+  EXPECT_TRUE(fs::exists(store / "clean.rmp"));
+  EXPECT_EQ(slurp(store / "clean.rmps"), sequence);
+  for (const char* name : {"torn.rmps", "trailing.rmp", "empty.rmp"}) {
+    EXPECT_FALSE(fs::exists(store / name)) << name;
+    EXPECT_TRUE(fs::exists(quarantine_dir(store) / name)) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Request log
 

@@ -242,8 +242,8 @@ TEST_F(SeekDecodeTest, ReadStepTouchesOnlyThatStepsBytes) {
 TEST_F(SeekDecodeTest, OversizedIndexEntryFailsTypedBeforeAllocating) {
   write_sequence(3);
   // Fabricate a hostile trailer: entry 0 claims a size far beyond the
-  // file.  The reader must throw kIndexCorrupt from the footprint check,
-  // never reach the allocation.
+  // file.  It must fail the open-time bounds check, so no read is ever
+  // sized from it.
   const io::SequenceReader good(path_);
   const io::StepInfo& entry = good.step_info(0);
   std::fstream file(path_, std::ios::binary | std::ios::in | std::ios::out);
@@ -254,11 +254,31 @@ TEST_F(SeekDecodeTest, OversizedIndexEntryFailsTypedBeforeAllocating) {
   file.write(reinterpret_cast<const char*>(&huge), 8);
   file.close();
 
-  // The tampered trailer no longer passes the open-time bounds check, so
-  // disable rebuild to observe the typed failure directly.
+  // The sniff does not class the tampered file as an intact sequence;
+  // the commit markers still make it a torn one.
+  EXPECT_EQ(io::sniff_archive(path_), io::ArchiveKind::kTornSequence);
+  // The reader drops the hostile index and rebuilds from the markers:
+  // every step keeps its true size.
+  const io::SequenceReader reader(path_);
+  EXPECT_TRUE(reader.index_rebuilt());
+  ASSERT_EQ(reader.step_count(), 3u);
+  EXPECT_EQ(reader.step_info(0).size, entry.size);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(reader.read_step(i).method, "step" + std::to_string(i));
+  }
+
+  // With no steps to rebuild from (the hostile trailer alone), the file is
+  // no sequence at all, and opening it anyway fails typed.
+  {
+    std::ofstream alone(path_, std::ios::binary | std::ios::trunc);
+    const std::uint64_t words[] = {0, huge, 1, 0x32455351504D5252ULL};
+    alone.write(reinterpret_cast<const char*>(&words[0]), 16);
+    alone.write("\0\0\0\0", 4);  // entry 0's crc column
+    alone.write(reinterpret_cast<const char*>(&words[2]), 16);
+  }
+  EXPECT_EQ(io::sniff_archive(path_), io::ArchiveKind::kContainer);
   try {
-    const io::SequenceReader reader(
-        path_, {.allow_index_rebuild = false});
+    const io::SequenceReader hostile(path_);
     FAIL() << "hostile index entry was accepted";
   } catch (const io::ContainerError& error) {
     EXPECT_EQ(error.code(), io::ContainerErrc::kIndexCorrupt);

@@ -252,12 +252,14 @@ TEST_F(SequenceFileTest, RebuildCanBeDisabled) {
     writer.finish();
   }
   fs::resize_file(path_, fs::file_size(path_) - (16 + 20));
-  try {
-    SequenceReader reader(path_, {.allow_index_rebuild = false});
-    FAIL() << "reader accepted a trailer-less file with rebuild disabled";
-  } catch (const ContainerError& e) {
-    EXPECT_EQ(e.code(), ContainerErrc::kIndexCorrupt);
-  }
+  // A caller that must not rebuild sniffs first: the trailer-less file is
+  // never classed as an intact sequence, only as a torn one (its one step
+  // still carries its commit marker).
+  EXPECT_EQ(sniff_archive(path_), ArchiveKind::kTornSequence);
+  const SequenceReader reader(path_);
+  EXPECT_TRUE(reader.index_rebuilt());
+  ASSERT_EQ(reader.step_count(), 1u);
+  EXPECT_EQ(reader.read_step(0).method, "step1");
 }
 
 TEST_F(SequenceFileTest, CorruptMiddleStepIsSkippedAndReported) {

@@ -566,45 +566,18 @@ int cmd_decompress_sequence(const Args& args,
 int cmd_decompress(const Args& args) {
   if (args.positional.size() != 2) usage_and_exit();
 
-  // Sequence archives are detected by their trailing index; anything
-  // without one (including plain v2/v3/v4 containers) falls through to
-  // the single-container path below.
-  bool index_corrupt = false;
-  {
-    std::optional<io::SequenceReader> reader;
-    try {
-      reader.emplace(args.positional[0],
-                     io::SequenceReadOptions{.allow_index_rebuild = false});
-    } catch (const io::ContainerError& error) {
-      if (error.code() != io::ContainerErrc::kIndexCorrupt) throw;
-      index_corrupt = true;
-    }
-    if (reader) return cmd_decompress_sequence(args, *reader);
-  }
-  if (index_corrupt) {
-    // An unusable trailer is either a plain container (no trailer at
-    // all) or a sequence whose trailer is torn/corrupt.  Rebuild the
-    // index and look for sequence evidence the rebuild alone cannot
-    // fake on a plain container: more than one step, or a step located
-    // via its CRC'd commit marker.  A lone magic-scan step is just the
-    // container itself -- fall through so plain archives keep their
-    // exact error/usage behavior.
-    std::optional<io::SequenceReader> rebuilt;
-    try {
-      rebuilt.emplace(args.positional[0]);
-    } catch (const io::ContainerError&) {
-      // No recoverable steps either; let the container path produce its
-      // typed error (bad-magic, truncated, ...).
-    }
-    if (rebuilt &&
-        (rebuilt->step_count() > 1 || (rebuilt->step_count() == 1 &&
-                                       rebuilt->step_info(0).has_crc))) {
+  // Sequence archives, intact or with a torn trailer, decode step-wise;
+  // everything else (damaged files included) is a container, so
+  // read_container produces the typed error.
+  if (io::sniff_archive(args.positional[0]) != io::ArchiveKind::kContainer) {
+    const io::SequenceReader reader(args.positional[0]);
+    if (reader.index_rebuilt()) {
       std::fprintf(stderr,
                    "rmpc: %s: trailing index unusable; rebuilt from step "
                    "markers (%zu step(s) recovered)\n",
-                   args.positional[0].c_str(), rebuilt->step_count());
-      return cmd_decompress_sequence(args, *rebuilt);
+                   args.positional[0].c_str(), reader.step_count());
     }
+    return cmd_decompress_sequence(args, reader);
   }
   if (args.step) {
     std::fprintf(stderr,
