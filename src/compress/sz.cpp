@@ -824,14 +824,14 @@ std::vector<std::uint8_t> SzCompressor::compress(std::span<const double> data,
   std::vector<double> decoded;
   QuantizedStream qs;
   {
-    const obs::ScopedSpan qspan("codec/sz/quantize");
+    const obs::ScopedSpan qspan("quantize");
     qs = quantize(to_quantize, dims, table, options_.quant_bits, decoded,
                   hybrid ? &model : nullptr);
   }
 
   std::vector<std::uint8_t> code_bytes;
   {
-    const obs::ScopedSpan hspan("codec/sz/huffman");
+    const obs::ScopedSpan hspan("huffman");
     code_bytes = huffman_encode(qs.codes);
   }
   append_u64(payload, code_bytes.size());
@@ -875,7 +875,7 @@ std::vector<std::uint8_t> SzCompressor::compress(std::span<const double> data,
 
   std::vector<std::uint8_t> out;
   {
-    const obs::ScopedSpan lspan("codec/sz/lossless");
+    const obs::ScopedSpan lspan("lossless");
     out = lossless_compress(payload);
   }
   obs::count("codec.sz.bytes_out", out.size());
@@ -887,7 +887,7 @@ std::vector<double> SzCompressor::decompress(
   const obs::ScopedSpan span("codec/sz");
   std::vector<std::uint8_t> payload;
   {
-    const obs::ScopedSpan lspan("codec/sz/unlossless");
+    const obs::ScopedSpan lspan("unlossless");
     payload = lossless_decompress(stream);
   }
   ByteCursor cursor(payload);
@@ -917,7 +917,7 @@ std::vector<double> SzCompressor::decompress(
   QuantizedStream qs;
   const std::size_t code_size = cursor.read_u64();
   {
-    const obs::ScopedSpan hspan("codec/sz/unhuffman");
+    const obs::ScopedSpan hspan("unhuffman");
     qs.codes = huffman_decode(cursor.read_block(code_size));
   }
   if (qs.codes.size() != dims.count()) {
@@ -962,7 +962,7 @@ std::vector<double> SzCompressor::decompress(
 
   std::vector<double> decoded;
   {
-    const obs::ScopedSpan qspan("codec/sz/dequantize");
+    const obs::ScopedSpan qspan("dequantize");
     decoded = dequantize(qs, dims, table, quant_bits, hybrid ? &model : nullptr);
   }
 

@@ -372,12 +372,11 @@ GuardedEncodeResult guarded_encode(const sim::Field& field,
             PrecondErrc::kSvdNonConvergence,
             "injected via RMP_GUARD_INJECT for fault testing");
       }
+      // The candidate's own "precondition/<method>" span times the
+      // encode; a wrapper span here would repeat that segment.
       EncodeStats stats;
-      io::Container container;
-      {
-        const obs::ScopedSpan span("precondition");
-        container = preconditioners[c]->encode(masked, codecs, &stats);
-      }
+      io::Container container =
+          preconditioners[c]->encode(masked, codecs, &stats);
 
       // Mandatory post-encode verification: decode back and measure the
       // pointwise error on every cell that was finite in the original.

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "core/precond_error.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::core {
@@ -22,23 +21,6 @@ StagingNode::~StagingNode() {
   worker_.join();
 }
 
-std::size_t StagingNode::enqueue_locked(std::unique_lock<std::mutex>& lock,
-                                        StagingJob&& job) {
-  const std::size_t id = stats_.fields_submitted++;
-  const std::size_t bytes_in =
-      job.field ? job.field->size() * sizeof(double)
-                : (job.container ? job.container->payload_bytes() : 0);
-  stats_.bytes_in += bytes_in;
-  obs::count("staging.fields_submitted");
-  obs::count("staging.bytes_in", bytes_in);
-  obs::gauge_max("staging.queue_depth", queue_.size() + 1);
-  queue_.emplace_back(id, std::move(job));
-  ++in_flight_;
-  lock.unlock();
-  work_ready_.notify_one();
-  return id;
-}
-
 std::size_t StagingNode::submit(sim::Field field) {
   StagingJob job;
   job.field = std::move(field);
@@ -55,20 +37,19 @@ std::size_t StagingNode::submit(StagingJob job) {
     throw std::runtime_error("StagingNode: submit after shutdown");
   }
   stats_.submit_block_seconds += span.elapsed_seconds();
-  return enqueue_locked(lock, std::move(job));
-}
-
-std::optional<std::size_t> StagingNode::try_submit(StagingJob job) {
-  std::unique_lock lock(mutex_);
-  if (stopping_) {
-    throw std::runtime_error("StagingNode: submit after shutdown");
-  }
-  if (queue_.size() >= options_.max_queue) {
-    ++stats_.fields_rejected;
-    obs::count("staging.rejected");
-    return std::nullopt;
-  }
-  return enqueue_locked(lock, std::move(job));
+  const std::size_t id = stats_.fields_submitted++;
+  const std::size_t bytes_in =
+      job.field ? job.field->size() * sizeof(double)
+                : (job.container ? job.container->payload_bytes() : 0);
+  stats_.bytes_in += bytes_in;
+  obs::count("staging.fields_submitted");
+  obs::count("staging.bytes_in", bytes_in);
+  obs::gauge_max("staging.queue_depth", queue_.size() + 1);
+  queue_.emplace_back(id, std::move(job));
+  ++in_flight_;
+  lock.unlock();
+  work_ready_.notify_one();
+  return id;
 }
 
 void StagingNode::drain() {
@@ -80,23 +61,6 @@ StagingStats StagingNode::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
 }
-
-namespace {
-
-StagingErrorKind classify_failure(const std::exception& e) {
-  if (const auto* container_error = dynamic_cast<const io::ContainerError*>(&e)) {
-    if (container_error->code() == io::ContainerErrc::kDeadlineExceeded) {
-      return StagingErrorKind::kDeadlineExceeded;
-    }
-    return StagingErrorKind::kIoError;
-  }
-  if (dynamic_cast<const PreconditionError*>(&e) != nullptr) {
-    return StagingErrorKind::kPrecondition;
-  }
-  return StagingErrorKind::kOther;
-}
-
-}  // namespace
 
 void StagingNode::worker_loop() {
   // Preconditioners are cached per method: the common case is one method
@@ -184,8 +148,7 @@ void StagingNode::worker_loop() {
     } catch (const std::exception& e) {
       obs::count("staging.fields_failed");
       result.ok = false;
-      result.error = e.what();
-      result.error_kind = classify_failure(e);
+      result.error = std::current_exception();
       std::lock_guard lock(mutex_);
       stats_.fields_failed++;
       stats_.last_error = e.what();

@@ -11,14 +11,14 @@
 // io::RetryPolicy (threading the request deadline into disk backoff
 // loops) and a completion callback invoked once the write is durable --
 // which is what lets the daemon answer a store request only after the
-// bytes actually survive a crash.  try_submit() is the non-blocking
-// admission flavour: a full queue yields rejection (the caller sheds
-// load with a typed BUSY) instead of blocking the session thread.
+// bytes actually survive a crash.  Admission is submit() alone: a full
+// queue blocks the submitter, which is the write-behind backpressure.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <mutex>
@@ -44,24 +44,14 @@ struct StagingOptions {
   io::SerializeOptions serialize;
 };
 
-/// Coarse classification of a failed job, so callers (the daemon's
-/// response path) can map failures onto their own taxonomy without
-/// string-matching the error text.
-enum class StagingErrorKind : std::uint8_t {
-  kNone = 0,
-  kIoError,           ///< durable write failed (disk full, EIO, ...)
-  kDeadlineExceeded,  ///< the job's retry deadline ran out mid-write
-  kPrecondition,      ///< model failure (eigen/SVD non-convergence, ...)
-  kOther,
-};
-
 /// Completion record handed to a job's on_complete callback (and, for
 /// failures, summarized in StagingStats).
 struct StagingJobResult {
   std::size_t id = 0;
   bool ok = false;
-  StagingErrorKind error_kind = StagingErrorKind::kNone;
-  std::string error;  ///< what() of the failure; empty when ok
+  /// The failure itself (a std::exception), so the caller classifies it
+  /// by type; null when ok.
+  std::exception_ptr error;
   std::string method;  ///< preconditioner that ran (field jobs)
   std::size_t bytes_out = 0;
   std::filesystem::path path;  ///< where the container landed, if written
@@ -92,8 +82,6 @@ struct StagingStats {
   /// failure and keeps serving the queue: one full disk must not take the
   /// whole staging service (and the submitting simulation) down with it.
   std::size_t fields_failed = 0;
-  /// try_submit() calls refused because the queue was at capacity.
-  std::size_t fields_rejected = 0;
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
   double total_compress_seconds = 0.0;
@@ -120,11 +108,6 @@ class StagingNode {
   /// General form: blocks when the queue is full.
   std::size_t submit(StagingJob job);
 
-  /// Non-blocking admission: nullopt when the queue is at capacity (the
-  /// rejection is counted under fields_rejected / staging.rejected).
-  /// Throws only after shutdown.
-  std::optional<std::size_t> try_submit(StagingJob job);
-
   /// Wait until every submitted field has been processed.
   void drain();
 
@@ -137,8 +120,6 @@ class StagingNode {
 
  private:
   void worker_loop();
-  std::size_t enqueue_locked(std::unique_lock<std::mutex>& lock,
-                             StagingJob&& job);
 
   const core::CodecPair codecs_;
   StagingOptions options_;

@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
+#include "core/precond_error.hpp"
 #include "io/checksum.hpp"
+#include "io/container_error.hpp"
 
 namespace rmp::net {
 namespace {
@@ -222,6 +225,24 @@ const char* to_string(Status status) noexcept {
     case Status::kInternalError: return "internal-error";
   }
   return "unknown";
+}
+
+Status status_for(const std::exception& error) noexcept {
+  if (dynamic_cast<const NetError*>(&error) != nullptr)
+    return Status::kBadRequest;
+  if (const auto* container = dynamic_cast<const io::ContainerError*>(&error)) {
+    switch (container->code()) {
+      case io::ContainerErrc::kIoError: return Status::kIoError;
+      case io::ContainerErrc::kDeadlineExceeded:
+        return Status::kDeadlineExceeded;
+      default: return Status::kIntegrityError;
+    }
+  }
+  if (dynamic_cast<const core::PreconditionError*>(&error) != nullptr)
+    return Status::kPreconditionError;
+  if (dynamic_cast<const std::invalid_argument*>(&error) != nullptr)
+    return Status::kBadRequest;
+  return Status::kInternalError;
 }
 
 // ---------------------------------------------------------------------------
@@ -527,34 +548,44 @@ ScrubResponse ScrubResponse::decode(std::span<const std::uint8_t> payload) {
   return resp;
 }
 
+namespace {
+
+/// StatsResponse's counters in wire order, each a little-endian u64; the
+/// obs JSON follows them as a string.
+constexpr std::uint64_t StatsResponse::*kStatsFields[] = {
+    &StatsResponse::queue_depth,
+    &StatsResponse::queue_capacity,
+    &StatsResponse::accepted,
+    &StatsResponse::rejected_busy,
+    &StatsResponse::rejected_shutdown,
+    &StatsResponse::deadline_missed,
+    &StatsResponse::completed,
+    &StatsResponse::failed,
+    &StatsResponse::sessions_active,
+    &StatsResponse::sessions_total,
+    &StatsResponse::protocol_errors,
+    &StatsResponse::recovery_journals_resumed,
+    &StatsResponse::recovery_steps_recovered,
+    &StatsResponse::recovery_files_repaired,
+    &StatsResponse::recovery_files_quarantined,
+    &StatsResponse::scrub_passes,
+    &StatsResponse::scrub_sections_checked,
+    &StatsResponse::scrub_sections_repaired,
+    &StatsResponse::scrub_quarantined,
+    &StatsResponse::dedup_hits,
+    &StatsResponse::dedup_evictions,
+    &StatsResponse::dedup_entries,
+    &StatsResponse::inflight_bytes,
+    &StatsResponse::max_inflight_bytes,
+    &StatsResponse::admission_bytes_rejected,
+    &StatsResponse::stalled_sessions,
+};
+
+}  // namespace
+
 std::vector<std::uint8_t> StatsResponse::encode() const {
   PayloadWriter w;
-  w.u64(queue_depth);
-  w.u64(queue_capacity);
-  w.u64(accepted);
-  w.u64(rejected_busy);
-  w.u64(rejected_shutdown);
-  w.u64(deadline_missed);
-  w.u64(completed);
-  w.u64(failed);
-  w.u64(sessions_active);
-  w.u64(sessions_total);
-  w.u64(protocol_errors);
-  w.u64(recovery_journals_resumed);
-  w.u64(recovery_steps_recovered);
-  w.u64(recovery_files_repaired);
-  w.u64(recovery_files_quarantined);
-  w.u64(scrub_passes);
-  w.u64(scrub_sections_checked);
-  w.u64(scrub_sections_repaired);
-  w.u64(scrub_quarantined);
-  w.u64(dedup_hits);
-  w.u64(dedup_evictions);
-  w.u64(dedup_entries);
-  w.u64(inflight_bytes);
-  w.u64(max_inflight_bytes);
-  w.u64(admission_bytes_rejected);
-  w.u64(stalled_sessions);
+  for (const auto field : kStatsFields) w.u64(this->*field);
   w.str(obs_json);
   return w.take();
 }
@@ -562,32 +593,7 @@ std::vector<std::uint8_t> StatsResponse::encode() const {
 StatsResponse StatsResponse::decode(std::span<const std::uint8_t> payload) {
   PayloadReader r(payload);
   StatsResponse resp;
-  resp.queue_depth = r.u64();
-  resp.queue_capacity = r.u64();
-  resp.accepted = r.u64();
-  resp.rejected_busy = r.u64();
-  resp.rejected_shutdown = r.u64();
-  resp.deadline_missed = r.u64();
-  resp.completed = r.u64();
-  resp.failed = r.u64();
-  resp.sessions_active = r.u64();
-  resp.sessions_total = r.u64();
-  resp.protocol_errors = r.u64();
-  resp.recovery_journals_resumed = r.u64();
-  resp.recovery_steps_recovered = r.u64();
-  resp.recovery_files_repaired = r.u64();
-  resp.recovery_files_quarantined = r.u64();
-  resp.scrub_passes = r.u64();
-  resp.scrub_sections_checked = r.u64();
-  resp.scrub_sections_repaired = r.u64();
-  resp.scrub_quarantined = r.u64();
-  resp.dedup_hits = r.u64();
-  resp.dedup_evictions = r.u64();
-  resp.dedup_entries = r.u64();
-  resp.inflight_bytes = r.u64();
-  resp.max_inflight_bytes = r.u64();
-  resp.admission_bytes_rejected = r.u64();
-  resp.stalled_sessions = r.u64();
+  for (const auto field : kStatsFields) resp.*field = r.u64();
   resp.obs_json = r.str(kMaxDetailBytes * 16);
   r.finish();
   return resp;

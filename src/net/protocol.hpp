@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <span>
 #include <string>
@@ -84,6 +85,15 @@ enum class Status : std::uint16_t {
 };
 
 const char* to_string(Status status) noexcept;
+
+/// The one rule naming a failure (DESIGN.md §11): the status a request
+/// that threw `error` is answered with.  A NetError raised while serving
+/// is a malformed request; archive damage, disk failure and a spent
+/// deadline follow io::ContainerErrc; model failures are
+/// kPreconditionError, std::invalid_argument is kBadRequest, anything
+/// else kInternalError.  The CLI exit codes derive from it
+/// (tools/exit_codes.hpp).
+Status status_for(const std::exception& error) noexcept;
 
 struct FrameHeader {
   std::uint16_t version = kProtocolVersion;

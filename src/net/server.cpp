@@ -18,10 +18,8 @@
 #include "core/chunk_fetch.hpp"
 #include "core/guard.hpp"
 #include "core/pipeline.hpp"
-#include "core/precond_error.hpp"
 #include "core/staging.hpp"
 #include "io/container.hpp"
-#include "io/container_error.hpp"
 #include "io/sequence_file.hpp"
 #include "io/store_health.hpp"
 #include "obs/obs.hpp"
@@ -278,9 +276,30 @@ void Server::drain() {
   obs::count("net.drains");
 }
 
-ServerStats Server::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
+StatsResponse Server::stats() const {
+  StatsResponse response;
+  {
+    std::lock_guard lock(stats_mutex_);
+    response = stats_;
+  }
+  response.queue_depth = queue_.depth();
+  response.queue_capacity = queue_.capacity();
+  const DedupWindow::Stats dedup = dedup_.stats();
+  response.dedup_hits = dedup.hits;
+  response.dedup_evictions = dedup.evictions;
+  response.dedup_entries = dedup.entries;
+  response.inflight_bytes = inflight_bytes_.load(std::memory_order_acquire);
+  response.max_inflight_bytes = options_.max_inflight_bytes;
+  return response;
+}
+
+void Server::record(std::uint64_t StatsResponse::*field, const char* obs_name,
+                    std::uint64_t n) {
+  {
+    std::lock_guard lock(stats_mutex_);
+    stats_.*field += n;
+  }
+  if (obs_name != nullptr) obs::count(obs_name, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,14 +396,12 @@ ScrubResponse Server::run_scrub_pass() {
   }
   response.detail = std::move(detail);
 
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.scrub_passes;
-    stats_.scrub_sections_checked += report.sections_checked;
-    stats_.scrub_sections_repaired += report.sections_repaired;
-    stats_.scrub_quarantined += report.files_quarantined;
-  }
-  obs::count("scrub.passes");
+  record(&StatsResponse::scrub_passes, "scrub.passes");
+  record(&StatsResponse::scrub_sections_checked, nullptr,
+         report.sections_checked);
+  record(&StatsResponse::scrub_sections_repaired, nullptr,
+         report.sections_repaired);
+  record(&StatsResponse::scrub_quarantined, nullptr, report.files_quarantined);
   return response;
 }
 
@@ -450,22 +467,14 @@ void Server::accept_loop() {
                                       Status::kBusy);
       (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       ::close(fd);
-      {
-        std::lock_guard stats_lock(stats_mutex_);
-        ++stats_.rejected_busy;
-      }
-      obs::count("net.sessions_rejected");
+      record(&StatsResponse::rejected_busy, "net.sessions_rejected");
       continue;
     }
     auto session = std::make_shared<Session>();
     session->fd = fd;
     session->id = ++session_counter_;
-    {
-      std::lock_guard stats_lock(stats_mutex_);
-      ++stats_.sessions_total;
-      ++stats_.sessions_active;
-    }
-    obs::count("net.sessions");
+    record(&StatsResponse::sessions_total, "net.sessions");
+    record(&StatsResponse::sessions_active);
     sessions_.push_back(session);
     session->thread =
         std::thread([this, session] { session_loop(session); });
@@ -525,30 +534,16 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
       // Malformed bytes poison the decoder; answer with a typed error
       // (best effort) and tear the session down -- resynchronizing
       // inside a corrupt stream risks misparsing payloads as frames.
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.protocol_errors;
-      }
-      obs::count("net.protocol_errors");
+      record(&StatsResponse::protocol_errors, "net.protocol_errors");
       send_error(session, 0, Status::kBadRequest, e.what());
       failed = true;
       break;
     }
   }
-  if (torn) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.protocol_errors;
-    }
-    obs::count("net.torn_frames");
-  }
+  if (torn) record(&StatsResponse::protocol_errors, "net.torn_frames");
   if (stalled) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.stalled_sessions;
-      ++stats_.protocol_errors;
-    }
-    obs::count("net.stalled_sessions");
+    record(&StatsResponse::stalled_sessions, "net.stalled_sessions");
+    record(&StatsResponse::protocol_errors);
     // Best effort: the half-frame has no request id, so the teardown
     // notice goes out unaddressed before the close.
     send_error(session, 0, Status::kBadRequest,
@@ -583,10 +578,8 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
     case MsgType::kVerify:
     case MsgType::kScrub:
       break;
-    default: {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.protocol_errors;
-    }
+    default:
+      record(&StatsResponse::protocol_errors);
       send_error(session, header.request_id, Status::kBadRequest,
                  std::string("unexpected ") + to_string(header.type) +
                      " frame on the server side");
@@ -594,11 +587,7 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
   }
 
   if (draining()) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.rejected_shutdown;
-    }
-    obs::count("net.rejected_shutdown");
+    record(&StatsResponse::rejected_shutdown, "net.rejected_shutdown");
     send_error(session, header.request_id, Status::kShuttingDown,
                "server is draining and accepts no new work");
     return;
@@ -615,13 +604,9 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
         payload_bytes;
     if (inflight > options_.max_inflight_bytes) {
       inflight_bytes_.fetch_sub(payload_bytes, std::memory_order_acq_rel);
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.rejected_busy;
-        stats_.admission_bytes_rejected += payload_bytes;
-      }
-      obs::count("net.rejected_busy");
-      obs::count("admission.bytes_rejected", payload_bytes);
+      record(&StatsResponse::rejected_busy, "net.rejected_busy");
+      record(&StatsResponse::admission_bytes_rejected,
+             "admission.bytes_rejected", payload_bytes);
       send_error(session, header.request_id, Status::kBusy,
                  std::to_string(payload_bytes) +
                      " payload bytes would exceed the in-flight budget (" +
@@ -647,20 +632,12 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   switch (queue_.try_push(std::move(job))) {
     case BoundedQueue<Job>::Push::kAccepted: {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.accepted;
-      }
-      obs::count("net.accepted");
+      record(&StatsResponse::accepted, "net.accepted");
       obs::gauge_max("net.queue_peak", queue_.depth());
       return;
     }
     case BoundedQueue<Job>::Push::kBusy: {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.rejected_busy;
-      }
-      obs::count("net.rejected_busy");
+      record(&StatsResponse::rejected_busy, "net.rejected_busy");
       send_error(session, header.request_id, Status::kBusy,
                  "request queue full (" +
                      std::to_string(queue_.capacity()) + " deep); retry",
@@ -671,11 +648,7 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
       return;
     }
     case BoundedQueue<Job>::Push::kClosed: {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.rejected_shutdown;
-      }
-      obs::count("net.rejected_shutdown");
+      record(&StatsResponse::rejected_shutdown, "net.rejected_shutdown");
       send_error(session, header.request_id, Status::kShuttingDown,
                  "server is draining and accepts no new work");
       if (charged > 0)
@@ -711,14 +684,9 @@ void Server::process_job(Job& job) {
   obs::ScopedSpan span(std::string("rmpd/request/") + to_string(header.type));
 
   if (job.deadline && std::chrono::steady_clock::now() >= *job.deadline) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.deadline_missed;
-    }
-    obs::count("net.deadline_missed");
-    send_error(job.session, header.request_id, Status::kDeadlineExceeded,
-               "deadline expired before the request started");
-    job_finished(false, job.bytes);
+    fail_job(job.session, header.request_id, job.bytes,
+             Status::kDeadlineExceeded,
+             "deadline expired before the request started");
     return;
   }
 
@@ -737,40 +705,14 @@ void Server::process_job(Job& job) {
         handle_scrub(job);
         break;
       default:
-        send_error(job.session, header.request_id, Status::kBadRequest,
-                   "unhandled request type");
-        job_finished(false, job.bytes);
+        fail_job(job.session, header.request_id, job.bytes,
+                 Status::kBadRequest, "unhandled request type");
         return;
     }
     job_finished(true, job.bytes);
-  } catch (const NetError& e) {
-    send_error(job.session, header.request_id, Status::kBadRequest, e.what());
-    job_finished(false, job.bytes);
-  } catch (const io::ContainerError& e) {
-    Status status = Status::kIntegrityError;
-    if (e.code() == io::ContainerErrc::kDeadlineExceeded) {
-      status = Status::kDeadlineExceeded;
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.deadline_missed;
-      }
-      obs::count("net.deadline_missed");
-    } else if (e.code() == io::ContainerErrc::kIoError) {
-      status = Status::kIoError;
-    }
-    send_error(job.session, header.request_id, status, e.what());
-    job_finished(false, job.bytes);
-  } catch (const core::PreconditionError& e) {
-    send_error(job.session, header.request_id, Status::kPreconditionError,
-               e.what());
-    job_finished(false, job.bytes);
-  } catch (const std::invalid_argument& e) {
-    send_error(job.session, header.request_id, Status::kBadRequest, e.what());
-    job_finished(false, job.bytes);
   } catch (const std::exception& e) {
-    send_error(job.session, header.request_id, Status::kInternalError,
-               e.what());
-    job_finished(false, job.bytes);
+    fail_job(job.session, header.request_id, job.bytes, status_for(e),
+             e.what());
   }
 }
 
@@ -877,27 +819,12 @@ void Server::handle_encode(Job& job) {
               job_finished(true, job_bytes);
               return;
             }
-            Status status = Status::kInternalError;
-            switch (result.error_kind) {
-              case core::StagingErrorKind::kDeadlineExceeded:
-                status = Status::kDeadlineExceeded;
-                {
-                  std::lock_guard lock(stats_mutex_);
-                  ++stats_.deadline_missed;
-                }
-                obs::count("net.deadline_missed");
-                break;
-              case core::StagingErrorKind::kIoError:
-                status = Status::kIoError;
-                break;
-              case core::StagingErrorKind::kPrecondition:
-                status = Status::kPreconditionError;
-                break;
-              default:
-                break;
+            try {
+              std::rethrow_exception(result.error);
+            } catch (const std::exception& e) {
+              fail_job(session, request_id, job_bytes, status_for(e),
+                       e.what());
             }
-            send_error(session, request_id, status, result.error);
-            job_finished(false, job_bytes);
           };
       // Blocking submit is safe here: only worker threads reach this, and
       // the staging queue bound is the write-behind backpressure.
@@ -1078,40 +1005,7 @@ void Server::handle_verify(Job& job) {
 
 void Server::send_stats(const std::shared_ptr<Session>& session,
                         std::uint64_t request_id) {
-  StatsResponse response;
-  {
-    std::lock_guard lock(stats_mutex_);
-    response.accepted = stats_.accepted;
-    response.rejected_busy = stats_.rejected_busy;
-    response.rejected_shutdown = stats_.rejected_shutdown;
-    response.deadline_missed = stats_.deadline_missed;
-    response.completed = stats_.completed;
-    response.failed = stats_.failed;
-    response.sessions_active = stats_.sessions_active;
-    response.sessions_total = stats_.sessions_total;
-    response.protocol_errors = stats_.protocol_errors;
-  }
-  response.queue_depth = queue_.depth();
-  response.queue_capacity = queue_.capacity();
-  {
-    std::lock_guard lock(stats_mutex_);
-    response.recovery_journals_resumed = stats_.recovery_journals_resumed;
-    response.recovery_steps_recovered = stats_.recovery_steps_recovered;
-    response.recovery_files_repaired = stats_.recovery_files_repaired;
-    response.recovery_files_quarantined = stats_.recovery_files_quarantined;
-    response.scrub_passes = stats_.scrub_passes;
-    response.scrub_sections_checked = stats_.scrub_sections_checked;
-    response.scrub_sections_repaired = stats_.scrub_sections_repaired;
-    response.scrub_quarantined = stats_.scrub_quarantined;
-    response.admission_bytes_rejected = stats_.admission_bytes_rejected;
-    response.stalled_sessions = stats_.stalled_sessions;
-  }
-  const DedupWindow::Stats dedup = dedup_.stats();
-  response.dedup_hits = dedup.hits;
-  response.dedup_evictions = dedup.evictions;
-  response.dedup_entries = dedup.entries;
-  response.inflight_bytes = inflight_bytes_.load(std::memory_order_acquire);
-  response.max_inflight_bytes = options_.max_inflight_bytes;
+  StatsResponse response = stats();
   response.obs_json = obs::Registry::global().to_json();
   send_frame(session, MsgType::kStatsResult, request_id, response.encode());
 }
@@ -1142,10 +1036,6 @@ void Server::send_frame(const std::shared_ptr<Session>& session, MsgType type,
       // responses stop trying, and account for it.  Never throws -- a
       // gone client must not take a worker down.
       session->alive.store(false, std::memory_order_release);
-      {
-        std::lock_guard stats_lock(stats_mutex_);
-        ++stats_.send_failures;
-      }
       obs::count("net.send_failures");
       return;
     }
@@ -1196,15 +1086,20 @@ void Server::finish_sequences() {
   sequences_.clear();
 }
 
+void Server::fail_job(const std::shared_ptr<Session>& session,
+                      std::uint64_t request_id, std::uint64_t bytes,
+                      Status status, const std::string& message) {
+  if (status == Status::kDeadlineExceeded)
+    record(&StatsResponse::deadline_missed, "net.deadline_missed");
+  send_error(session, request_id, status, message);
+  job_finished(false, bytes);
+}
+
 void Server::job_finished(bool ok, std::uint64_t bytes) {
-  {
-    std::lock_guard lock(stats_mutex_);
-    if (ok)
-      ++stats_.completed;
-    else
-      ++stats_.failed;
-  }
-  obs::count(ok ? "net.completed" : "net.failed");
+  if (ok)
+    record(&StatsResponse::completed, "net.completed");
+  else
+    record(&StatsResponse::failed, "net.failed");
   if (bytes > 0) inflight_bytes_.fetch_sub(bytes, std::memory_order_acq_rel);
   release_outstanding();
 }

@@ -111,31 +111,6 @@ struct ServerOptions {
   bool recover_on_start = true;
 };
 
-/// Monotonic counters (authoritative, independent of RMP_OBS).
-struct ServerStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_busy = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t sessions_total = 0;
-  std::uint64_t sessions_active = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t send_failures = 0;
-  // Self-healing (DESIGN.md §14).
-  std::uint64_t recovery_journals_resumed = 0;
-  std::uint64_t recovery_steps_recovered = 0;
-  std::uint64_t recovery_files_repaired = 0;
-  std::uint64_t recovery_files_quarantined = 0;
-  std::uint64_t scrub_passes = 0;
-  std::uint64_t scrub_sections_checked = 0;
-  std::uint64_t scrub_sections_repaired = 0;
-  std::uint64_t scrub_quarantined = 0;
-  std::uint64_t admission_bytes_rejected = 0;
-  std::uint64_t stalled_sessions = 0;
-};
-
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -170,7 +145,9 @@ class Server {
     return draining_.load(std::memory_order_acquire);
   }
 
-  ServerStats stats() const;
+  /// The server's counters (authoritative, independent of RMP_OBS):
+  /// exactly what a kStats request returns, minus the obs dump.
+  StatsResponse stats() const;
   std::size_t queue_depth() const { return queue_.depth(); }
 
  private:
@@ -210,6 +187,15 @@ class Server {
                   std::uint64_t request_id,
                   std::span<const std::uint8_t> payload,
                   Status status = Status::kOk);
+  /// Books one event: adds `n` to its stats_ field and, when it has one,
+  /// to its obs counter.
+  void record(std::uint64_t StatsResponse::*field,
+              const char* obs_name = nullptr, std::uint64_t n = 1);
+  /// The one failure path of an admitted job: answers with `status`,
+  /// books a missed deadline, and closes the job as failed.
+  void fail_job(const std::shared_ptr<Session>& session,
+                std::uint64_t request_id, std::uint64_t bytes, Status status,
+                const std::string& message);
   /// Backoff hint attached to BUSY rejections, scaled by current load.
   std::uint32_t retry_after_hint() const noexcept;
   /// Caller must hold sequences_mutex_.
@@ -268,7 +254,9 @@ class Server {
       store_readers_;
 
   mutable std::mutex stats_mutex_;
-  ServerStats stats_;
+  /// The counters the server books itself; stats() adds the live
+  /// readings (queue, dedup window, in-flight bytes).
+  StatsResponse stats_;
 
   /// Idempotent-retry window (tokened requests).
   DedupWindow dedup_;

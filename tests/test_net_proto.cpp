@@ -280,6 +280,83 @@ TEST(NetProto, DecodeAndVerifyAndStatsRoundTrip) {
   EXPECT_EQ(stats_decoded.obs_json, stats.obs_json);
 }
 
+// Pins the StatsResponse wire layout: 26 little-endian u64 counters in a
+// fixed order, then the obs JSON as a u32-length-prefixed string.  Field
+// k (1-based, wire order) holds k in every byte, so a reordered, dropped
+// or narrowed field changes the bytes.
+TEST(NetProto, StatsResponseBytesArePinned) {
+  net::StatsResponse stats;
+  std::uint64_t k = 0;
+  const auto next = [&k] { return ++k * 0x0101010101010101ull; };
+  stats.queue_depth = next();
+  stats.queue_capacity = next();
+  stats.accepted = next();
+  stats.rejected_busy = next();
+  stats.rejected_shutdown = next();
+  stats.deadline_missed = next();
+  stats.completed = next();
+  stats.failed = next();
+  stats.sessions_active = next();
+  stats.sessions_total = next();
+  stats.protocol_errors = next();
+  stats.recovery_journals_resumed = next();
+  stats.recovery_steps_recovered = next();
+  stats.recovery_files_repaired = next();
+  stats.recovery_files_quarantined = next();
+  stats.scrub_passes = next();
+  stats.scrub_sections_checked = next();
+  stats.scrub_sections_repaired = next();
+  stats.scrub_quarantined = next();
+  stats.dedup_hits = next();
+  stats.dedup_evictions = next();
+  stats.dedup_entries = next();
+  stats.inflight_bytes = next();
+  stats.max_inflight_bytes = next();
+  stats.admission_bytes_rejected = next();
+  stats.stalled_sessions = next();
+  stats.obs_json = "{\"v\":1}";
+  ASSERT_EQ(k, 26u);
+
+  std::vector<std::uint8_t> expected;
+  for (std::uint8_t field = 1; field <= 26; ++field)
+    expected.insert(expected.end(), 8, field);
+  expected.insert(expected.end(), {7, 0, 0, 0});
+  expected.insert(expected.end(), stats.obs_json.begin(),
+                  stats.obs_json.end());
+  EXPECT_EQ(stats.encode(), expected);
+
+  const auto decoded = net::StatsResponse::decode(expected);
+  EXPECT_EQ(decoded.queue_depth, stats.queue_depth);
+  EXPECT_EQ(decoded.queue_capacity, stats.queue_capacity);
+  EXPECT_EQ(decoded.accepted, stats.accepted);
+  EXPECT_EQ(decoded.rejected_busy, stats.rejected_busy);
+  EXPECT_EQ(decoded.rejected_shutdown, stats.rejected_shutdown);
+  EXPECT_EQ(decoded.deadline_missed, stats.deadline_missed);
+  EXPECT_EQ(decoded.completed, stats.completed);
+  EXPECT_EQ(decoded.failed, stats.failed);
+  EXPECT_EQ(decoded.sessions_active, stats.sessions_active);
+  EXPECT_EQ(decoded.sessions_total, stats.sessions_total);
+  EXPECT_EQ(decoded.protocol_errors, stats.protocol_errors);
+  EXPECT_EQ(decoded.recovery_journals_resumed,
+            stats.recovery_journals_resumed);
+  EXPECT_EQ(decoded.recovery_steps_recovered, stats.recovery_steps_recovered);
+  EXPECT_EQ(decoded.recovery_files_repaired, stats.recovery_files_repaired);
+  EXPECT_EQ(decoded.recovery_files_quarantined,
+            stats.recovery_files_quarantined);
+  EXPECT_EQ(decoded.scrub_passes, stats.scrub_passes);
+  EXPECT_EQ(decoded.scrub_sections_checked, stats.scrub_sections_checked);
+  EXPECT_EQ(decoded.scrub_sections_repaired, stats.scrub_sections_repaired);
+  EXPECT_EQ(decoded.scrub_quarantined, stats.scrub_quarantined);
+  EXPECT_EQ(decoded.dedup_hits, stats.dedup_hits);
+  EXPECT_EQ(decoded.dedup_evictions, stats.dedup_evictions);
+  EXPECT_EQ(decoded.dedup_entries, stats.dedup_entries);
+  EXPECT_EQ(decoded.inflight_bytes, stats.inflight_bytes);
+  EXPECT_EQ(decoded.max_inflight_bytes, stats.max_inflight_bytes);
+  EXPECT_EQ(decoded.admission_bytes_rejected, stats.admission_bytes_rejected);
+  EXPECT_EQ(decoded.stalled_sessions, stats.stalled_sessions);
+  EXPECT_EQ(decoded.obs_json, stats.obs_json);
+}
+
 TEST(NetProto, EncodeResponseRoundTripsBothShapes) {
   net::EncodeResponse inline_response;
   inline_response.method = "pca";

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -20,11 +21,13 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "fault_injection.hpp"
 #include "io/container.hpp"
 #include "io/sequence_file.hpp"
 #include "io/store_health.hpp"
@@ -60,13 +63,13 @@ bool wait_for(const std::function<bool()>& pred) {
   return pred();
 }
 
-net::EncodeRequest small_encode_request() {
+net::EncodeRequest small_encode_request(std::uint64_t edge = 16) {
   net::EncodeRequest request;
   request.method = "pca";
-  request.nx = 16;
-  request.ny = 16;
-  request.nz = 16;
-  request.data.resize(16 * 16 * 16);
+  request.nx = edge;
+  request.ny = edge;
+  request.nz = edge;
+  request.data.resize(edge * edge * edge);
   for (std::size_t i = 0; i < request.data.size(); ++i) {
     request.data[i] = std::sin(0.01 * static_cast<double>(i)) * 40.0;
   }
@@ -120,6 +123,18 @@ class RawConn {
       out.insert(out.end(), chunk, chunk + n);
     }
     return out;
+  }
+  /// Read until one whole frame has arrived; nullopt if the peer closes
+  /// (or the 5 s receive timeout passes) first.
+  std::optional<net::Frame> recv_frame() {
+    net::FrameDecoder decoder;
+    while (true) {
+      if (auto frame = decoder.next()) return frame;
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return std::nullopt;
+      decoder.feed({chunk, static_cast<std::size_t>(n)});
+    }
   }
 
  private:
@@ -526,6 +541,148 @@ TEST(NetServer, ManyConcurrentClientsAllComplete) {
   }));
   EXPECT_EQ(server.stats().failed, 0u);
   server.drain();
+}
+
+// The outcome table of a request: every status a processed request can
+// end in, on the inline path (the container comes back in the response)
+// and on the store path (the write rides the staging node, whose
+// completion callback answers), with the wire status and how the server
+// books the request.  Requests go out as raw frames so the deadline they
+// carry binds only the server: the reply is always the server's verdict.
+// Disk faults come from the file-ops seam while the only writes in
+// flight are the row's own.
+TEST(NetServer, EveryOutcomeIsAnsweredAndCountedOnInlineAndStorePaths) {
+  const fs::path dir = fs::temp_directory_path() / "rmpd_outcome_table" /
+                       std::to_string(::getpid());
+  fs::remove_all(dir.parent_path());
+  ServerOptions options;
+  options.output_dir = dir;
+  Server server(options);
+  server.start();
+  // Its one worker holds each job past a short deadline before starting
+  // it: the refused-at-pickup rows.
+  ServerOptions stalled_options;
+  stalled_options.output_dir = dir / "stalled";
+  stalled_options.workers = 1;
+  stalled_options.debug_stall = 100ms;
+  Server stalled(stalled_options);
+  stalled.start();
+
+  const net::EncodeRequest ok = small_encode_request();
+  net::EncodeRequest bad_codec = ok;
+  bad_codec.codec = "lz4";
+  net::EncodeRequest bad_method = ok;
+  bad_method.method = "no-such-method";
+  net::EncodeRequest all_nan = ok;  // PCA's eigensolver cannot converge
+  std::fill(all_nan.data.begin(), all_nan.data.end(), std::nan(""));
+  // Big enough that the encode alone outlasts a 5 ms deadline, so the
+  // budget runs out between pickup and the durable write.
+  const net::EncodeRequest large = small_encode_request(48);
+  const auto stored = [](net::EncodeRequest request, const char* name) {
+    request.store = net::StoreMode::kFile;
+    request.store_name = name;
+    return request;
+  };
+  const auto decode = [](std::vector<std::uint8_t> container,
+                         const char* codec) {
+    net::DecodeRequest request;
+    request.codec = codec;
+    request.container = std::move(container);
+    return request.encode();
+  };
+  const auto archive = Client(client_options(server)).encode(ok).container;
+
+  struct Row {
+    const char* name;
+    Server* server;
+    MsgType type;
+    std::vector<std::uint8_t> payload;
+    std::uint32_t deadline_ms;
+    std::optional<io::FaultSpec> fault;
+    Status status;
+    std::uint64_t completed, failed, deadline_missed;  ///< deltas
+  };
+  const io::FaultSpec disk_full{io::FaultKind::kEnospc, 1, 1u << 20};
+  const io::FaultSpec eagain_storm{io::FaultKind::kEagain, 1, 1u << 20};
+  const std::vector<Row> rows = {
+      // Inline path.
+      {"inline ok", &server, MsgType::kEncode, ok.encode(), 0, {},
+       Status::kOk, 1, 0, 0},
+      {"inline unknown codec", &server, MsgType::kEncode, bad_codec.encode(),
+       0, {}, Status::kBadRequest, 0, 1, 0},
+      {"inline unknown method", &server, MsgType::kEncode,
+       bad_method.encode(), 0, {}, Status::kBadRequest, 0, 1, 0},
+      {"inline model failure", &server, MsgType::kEncode, all_nan.encode(),
+       0, {}, Status::kPreconditionError, 0, 1, 0},
+      {"inline damaged archive", &server, MsgType::kDecode,
+       decode({'n', 'o', 't', ' ', 'r', 'm', 'p'}, "sz"), 0, {},
+       Status::kIntegrityError, 0, 1, 0},
+      {"inline decode, wrong codec", &server, MsgType::kDecode,
+       decode(archive, "zfp"), 0, {}, Status::kInternalError, 0, 1, 0},
+      {"inline deadline at pickup", &stalled, MsgType::kEncode, ok.encode(),
+       20, {}, Status::kDeadlineExceeded, 0, 1, 1},
+      // Store path.
+      {"store ok", &server, MsgType::kEncode, stored(ok, "ok.rmp").encode(),
+       0, {}, Status::kOk, 1, 0, 0},
+      {"store escaping name", &server, MsgType::kEncode,
+       stored(ok, "../x.rmp").encode(), 0, {}, Status::kBadRequest, 0, 1, 0},
+      {"store model failure", &server, MsgType::kEncode,
+       stored(all_nan, "nan.rmp").encode(), 0, {},
+       Status::kPreconditionError, 0, 1, 0},
+      {"store disk full", &server, MsgType::kEncode,
+       stored(ok, "full.rmp").encode(), 0, disk_full, Status::kIoError, 0, 1,
+       0},
+      {"store deadline mid-write", &server, MsgType::kEncode,
+       stored(large, "late.rmp").encode(), 5, eagain_storm,
+       Status::kDeadlineExceeded, 0, 1, 1},
+      {"store deadline at pickup", &stalled, MsgType::kEncode,
+       stored(ok, "late.rmp").encode(), 20, {}, Status::kDeadlineExceeded, 0,
+       1, 1},
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const auto before = row.server->stats();
+    const auto books_balance = [&] {
+      const auto now = row.server->stats();
+      return now.completed == before.completed + row.completed &&
+             now.failed == before.failed + row.failed &&
+             now.deadline_missed == before.deadline_missed +
+                                        row.deadline_missed;
+    };
+    std::optional<rmp::testing::ScopedFaultInjection> inject;
+    if (row.fault) inject.emplace(*row.fault);
+    RawConn conn(row.server->port());
+    ASSERT_TRUE(conn.connected());
+    conn.send(net::encode_frame(row.type, 42, row.deadline_ms, row.payload));
+    const auto reply = conn.recv_frame();
+    ASSERT_TRUE(reply.has_value()) << "no response";
+    EXPECT_EQ(reply->header.request_id, 42u);
+    EXPECT_EQ(reply->header.status, row.status)
+        << net::to_string(reply->header.status) << ": "
+        << (reply->header.type == MsgType::kError
+                ? net::ErrorResponse::decode(reply->payload).message
+                : std::string(net::to_string(reply->header.type)));
+    if (row.status != Status::kOk) {
+      EXPECT_EQ(reply->header.type, MsgType::kError);
+      EXPECT_FALSE(net::ErrorResponse::decode(reply->payload).message.empty());
+    }
+    // The books close after the response goes out (and, for faulted rows,
+    // after the last injected syscall): wait for them before the seam is
+    // restored.
+    EXPECT_TRUE(wait_for(books_balance));
+    const auto after = row.server->stats();
+    EXPECT_EQ(after.completed - before.completed, row.completed);
+    EXPECT_EQ(after.failed - before.failed, row.failed);
+    EXPECT_EQ(after.deadline_missed - before.deadline_missed,
+              row.deadline_missed);
+  }
+  EXPECT_TRUE(fs::exists(dir / "ok.rmp"));
+  EXPECT_FALSE(fs::exists(dir / "full.rmp"));
+  EXPECT_FALSE(fs::exists(dir / "late.rmp"));
+  stalled.drain();
+  server.drain();
+  fs::remove_all(dir.parent_path());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -305,9 +307,49 @@ TEST_F(ObsTest, GuardedEncodeRecordsStageSpans) {
   const auto spans = obs::Registry::global().spans();
   EXPECT_NE(find_span(spans, "audit"), nullptr);
   EXPECT_NE(find_span(spans, "mask"), nullptr);
-  EXPECT_NE(find_span(spans, "precondition"), nullptr);
+  EXPECT_NE(find_span(spans, "precondition/pca"), nullptr);
   EXPECT_NE(find_span(spans, "verify"), nullptr);
   EXPECT_EQ(obs::Registry::global().counter_value("guard.masked_cells"), 1u);
+}
+
+// A span path names each stage once: nesting must never repeat a
+// segment (precondition/precondition/pca) or a run of segments
+// (codec/sz/codec/sz/quantize).
+TEST_F(ObsTest, GuardedRoundTripSpanPathsNeverRepeatASegment) {
+  const sim::Field field = make_test_field(8);
+  const auto reduced = compress::make_sz_original();
+  const auto delta = compress::make_sz_delta();
+  const core::CodecPair pair{reduced.get(), delta.get()};
+  core::GuardOptions options;
+  options.method = "pca";
+  const auto encoded = core::guarded_encode(field, pair, options);
+  (void)core::reconstruct(encoded.container, pair);
+
+  const auto spans = obs::Registry::global().spans();
+  for (const auto& span : spans) {
+    std::vector<std::string> segments;
+    std::size_t begin = 0;
+    for (std::size_t slash; (slash = span.name.find('/', begin)) !=
+                            std::string::npos;
+         begin = slash + 1)
+      segments.push_back(span.name.substr(begin, slash - begin));
+    segments.push_back(span.name.substr(begin));
+    for (std::size_t run = 1; 2 * run <= segments.size(); ++run) {
+      for (std::size_t i = 0; i + 2 * run <= segments.size(); ++i) {
+        const auto first = segments.begin() + static_cast<long>(i);
+        EXPECT_FALSE(std::equal(first, first + static_cast<long>(run),
+                                first + static_cast<long>(run)))
+            << span.name;
+      }
+    }
+  }
+  // The SZ stages stay reachable under their codec, as bench suffix
+  // lookups expect.
+  EXPECT_NE(find_span(spans,
+                      "precondition/pca/delta-compress/codec/sz/quantize"),
+            nullptr);
+  EXPECT_NE(find_span(spans, "pipeline/reconstruct/pca/codec/sz/dequantize"),
+            nullptr);
 }
 
 TEST_F(ObsTest, PipelineRecordsEncodeDecodeSpansAndByteCounters) {

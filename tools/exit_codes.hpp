@@ -1,18 +1,17 @@
 // Process exit codes shared by the rmpc and rmpd front ends, mapping the
-// typed error taxonomies (io::ContainerError, core::PreconditionError,
-// net::NetError / RemoteError) onto distinct, documented codes so shell
-// scripts and CI can dispatch on *what* failed without parsing stderr.
-// The table is documented in README.md ("Exit codes") and locked down by
-// tests/test_cli.cpp.
+// typed error taxonomies onto distinct, documented codes so shell scripts
+// and CI can dispatch on *what* failed without parsing stderr.  A local
+// failure takes the code of the wire status net::status_for gives it, so
+// a request fails with the same code whether it ran in-process or on
+// rmpd.  The table is documented in README.md ("Exit codes") and locked
+// down by tests/test_cli.cpp.
 #pragma once
 
 #include <exception>
-#include <stdexcept>
 
-#include "core/precond_error.hpp"
-#include "io/container_error.hpp"
 #include "net/client.hpp"
 #include "net/net_error.hpp"
+#include "net/protocol.hpp"
 
 namespace rmp::tools {
 
@@ -53,7 +52,9 @@ inline int exit_code_for_status(net::Status status) noexcept {
   return kExitInternal;
 }
 
-/// The one mapping from a caught exception to the table above.
+/// The one mapping from a caught exception to the table above.  Only the
+/// client-side net errors (a status the server sent, a transport failure)
+/// are read here; everything else goes through the wire status rule.
 inline int exit_code_for(const std::exception& error) noexcept {
   if (const auto* remote = dynamic_cast<const net::RemoteError*>(&error))
     return exit_code_for_status(remote->status());
@@ -66,19 +67,7 @@ inline int exit_code_for(const std::exception& error) noexcept {
       default: return kExitProtocol;
     }
   }
-  if (const auto* container =
-          dynamic_cast<const io::ContainerError*>(&error)) {
-    switch (container->code()) {
-      case io::ContainerErrc::kIoError: return kExitIo;
-      case io::ContainerErrc::kDeadlineExceeded: return kExitDeadline;
-      default: return kExitIntegrity;
-    }
-  }
-  if (dynamic_cast<const core::PreconditionError*>(&error) != nullptr)
-    return kExitModel;
-  if (dynamic_cast<const std::invalid_argument*>(&error) != nullptr)
-    return kExitUsage;
-  return kExitInternal;
+  return exit_code_for_status(net::status_for(error));
 }
 
 }  // namespace rmp::tools
