@@ -38,8 +38,8 @@ std::size_t flat_index(std::size_t i, std::size_t j, std::size_t k,
 // Lorenzo prediction from already-decoded values.  Out-of-range neighbors
 // contribute 0, which makes the predictor exact for constant-0 boundaries
 // and merely suboptimal otherwise -- same convention as SZ.
-double lorenzo_predict(const std::vector<double>& u, std::size_t i,
-                       std::size_t j, std::size_t k, const Dims& d) {
+double lorenzo_predict(const double* u, std::size_t i, std::size_t j,
+                       std::size_t k, const Dims& d) {
   auto at = [&](std::size_t a, std::size_t b, std::size_t c) -> double {
     return u[flat_index(a, b, c, d)];
   };
@@ -75,6 +75,39 @@ struct QuantizedStream {
   std::vector<double> outliers;
 };
 
+// Per-point error bound: scalar in absolute mode, per-1024-block in
+// block-relative mode.
+struct BoundTable {
+  std::vector<double> bounds;  // one entry per block
+  std::size_t block_size = 0;  // 0 = scalar (bounds[0] applies everywhere)
+
+  double at(std::size_t n) const {
+    return block_size == 0 ? bounds[0] : bounds[n / block_size];
+  }
+};
+
+// Invoke fn(offset_begin, offset_end, bound) over the maximal
+// constant-bound sub-spans of the flat range [n, n + len).  Hoists the
+// per-element `n / block_size` division and bounds lookup out of the
+// quantization kernels: a scalar table yields one span, a block-relative
+// table one span per 1024-element block crossing.
+template <typename F>
+void for_bound_segments(const BoundTable& table, std::size_t n,
+                        std::size_t len, F&& fn) {
+  if (table.block_size == 0) {
+    fn(std::size_t{0}, len, table.bounds[0]);
+    return;
+  }
+  std::size_t off = 0;
+  while (off < len) {
+    const std::size_t block = (n + off) / table.block_size;
+    const std::size_t end =
+        std::min(len, (block + 1) * table.block_size - n);
+    fn(off, end, table.bounds[block]);
+    off = end;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SZ 2.x-style regression predictor (SzPredictor::kHybrid)
 
@@ -109,9 +142,6 @@ struct RegressionModel {
            c[3] * static_cast<double>(k % edge);
   }
 };
-
-struct BoundTable;
-double bound_at(const BoundTable& table, std::size_t n);
 
 // Fit the model on the original data and choose per block between the
 // hyperplane and Lorenzo by comparing *estimated coded bits*: each
@@ -189,42 +219,15 @@ RegressionModel fit_regression_model(std::span<const double> data,
             for (std::size_t k = k0; k < k1; ++k) {
               const double v = value(i, j, k);
               const double eb =
-                  std::max(bound_at(bounds, flat_index(i, j, k, dims)),
-                           1e-300);
+                  std::max(bounds.at(flat_index(i, j, k, dims)), 1e-300);
               const double reg = b0 + b1 * (static_cast<double>(i - i0)) +
                                  b2 * (static_cast<double>(j - j0)) +
                                  b3 * (static_cast<double>(k - k0));
               bits_regression += std::log2(1.0 + std::fabs(v - reg) / eb);
               // Lorenzo on originals (approximation of the decoded-value
               // predictor, good enough for the selection decision).
-              double lorenzo;
-              switch (dims.rank()) {
-                case 1:
-                  lorenzo = i >= 2 ? 2.0 * value(i - 1, j, k) - value(i - 2, j, k)
-                                   : (i == 1 ? value(0, j, k) : 0.0);
-                  break;
-                case 2: {
-                  const double left = j > 0 ? value(i, j - 1, k) : 0.0;
-                  const double up = i > 0 ? value(i - 1, j, k) : 0.0;
-                  const double diag =
-                      (i > 0 && j > 0) ? value(i - 1, j - 1, k) : 0.0;
-                  lorenzo = left + up - diag;
-                  break;
-                }
-                default: {
-                  const double x = i > 0 ? value(i - 1, j, k) : 0.0;
-                  const double y = j > 0 ? value(i, j - 1, k) : 0.0;
-                  const double z = k > 0 ? value(i, j, k - 1) : 0.0;
-                  const double xy = (i > 0 && j > 0) ? value(i - 1, j - 1, k) : 0.0;
-                  const double xz = (i > 0 && k > 0) ? value(i - 1, j, k - 1) : 0.0;
-                  const double yz = (j > 0 && k > 0) ? value(i, j - 1, k - 1) : 0.0;
-                  const double xyz = (i > 0 && j > 0 && k > 0)
-                                         ? value(i - 1, j - 1, k - 1)
-                                         : 0.0;
-                  lorenzo = x + y + z - xy - xz - yz + xyz;
-                  break;
-                }
-              }
+              const double lorenzo =
+                  lorenzo_predict(data.data(), i, j, k, dims);
               bits_lorenzo += std::log2(1.0 + std::fabs(v - lorenzo) / eb);
             }
           }
@@ -251,73 +254,156 @@ RegressionModel fit_regression_model(std::span<const double> data,
   return model;
 }
 
-// Per-point error bound: scalar in absolute mode, per-1024-block in
-// block-relative mode.
-struct BoundTable {
-  std::vector<double> bounds;  // one entry per block
-  std::size_t block_size = 0;  // 0 = scalar (bounds[0] applies everywhere)
-
-  double at(std::size_t n) const {
-    return block_size == 0 ? bounds[0] : bounds[n / block_size];
-  }
-};
-
-double bound_at(const BoundTable& table, std::size_t n) {
-  return table.at(n);
-}
-
-// Invoke fn(offset_begin, offset_end, bound) over the maximal
-// constant-bound sub-spans of the flat range [n, n + len).  Hoists the
-// per-element `n / block_size` division and bounds lookup out of the
-// quantization kernels: a scalar table yields one span, a block-relative
-// table one span per 1024-element block crossing.
-template <typename F>
-void for_bound_segments(const BoundTable& table, std::size_t n,
-                        std::size_t len, F&& fn) {
-  if (table.block_size == 0) {
-    fn(std::size_t{0}, len, table.bounds[0]);
-    return;
-  }
-  std::size_t off = 0;
-  while (off < len) {
-    const std::size_t block = (n + off) / table.block_size;
-    const std::size_t end =
-        std::min(len, (block + 1) * table.block_size - n);
-    fn(off, end, table.bounds[block]);
-    off = end;
-  }
-}
-
-// Quantize `data` against the bound table, producing codes and the
-// decoded surrogate (needed because prediction runs on decoded values).
+// The prediction walk both directions share.  It visits every element in
+// scan order as visit(n, pred, bound, step), where `pred` is computed from
+// u[0..n) and step == 2.0 * bound; the visitor must store the decoded
+// value in u[n] before returning, because later predictions read it.
 // `model`, when non-null, supplies regression predictions for the blocks
 // it marked (SZ 2.x hybrid mode).
 //
-// The Lorenzo paths below are restructured into per-row kernels: the
-// boundary cases (first plane / row / element) and the bound lookup are
-// hoisted out, so interior spans run with no per-element predictor
-// branches.  Every kernel evaluates the predictor with the exact same
-// floating-point expression (including the literal 0.0 neighbor terms at
-// boundaries) and the same left-to-right association as the historical
-// per-element lorenzo_predict, so codes -- and therefore archive bytes --
-// are bit-identical.
+// The Lorenzo paths are per-row kernels: the boundary cases (first plane /
+// row / element) and the bound lookup are hoisted out, so interior spans
+// run with no per-element predictor branches.  Every kernel evaluates the
+// predictor with the exact same floating-point expression (including the
+// literal 0.0 neighbor terms at boundaries) and the same left-to-right
+// association as lorenzo_predict, so codes -- and therefore archive
+// bytes -- match the per-element walk bit for bit.
+template <typename Visit>
+void predict_walk(const Dims& dims, const BoundTable& table, double* u,
+                  const RegressionModel* model, Visit&& visit) {
+  if (model != nullptr) {
+    // Hybrid mode keeps the straightforward per-element walk: regression
+    // blocks interleave with Lorenzo blocks, so rows do not decompose
+    // into long branch-free spans.
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < dims.nx; ++i) {
+      for (std::size_t j = 0; j < dims.ny; ++j) {
+        for (std::size_t k = 0; k < dims.nz; ++k, ++n) {
+          const double bound = table.at(n);
+          const std::size_t block = model->block_of(i, j, k);
+          const double pred = model->use_regression[block]
+                                  ? model->predict(i, j, k, block)
+                                  : lorenzo_predict(u, i, j, k, dims);
+          visit(n, pred, bound, 2.0 * bound);
+        }
+      }
+    }
+    return;
+  }
+
+  switch (dims.rank()) {
+    case 1: {
+      for_bound_segments(table, 0, dims.count(),
+                         [&](std::size_t s0, std::size_t s1, double bound) {
+        const double step = 2.0 * bound;
+        std::size_t n = s0;
+        if (n == 0 && n < s1) visit(n++, 0.0, bound, step);
+        if (n == 1 && n < s1) visit(n++, u[0], bound, step);
+        for (; n < s1; ++n) {
+          visit(n, 2.0 * u[n - 1] - u[n - 2], bound, step);
+        }
+      });
+      break;
+    }
+    case 2: {
+      const std::size_t ny = dims.ny;
+      std::size_t n = 0;
+      for (std::size_t i = 0; i < dims.nx; ++i, n += ny) {
+        double* cur = u + n;
+        const double* up = i > 0 ? cur - ny : nullptr;
+        for_bound_segments(table, n, ny,
+                           [&](std::size_t j0, std::size_t j1, double bound) {
+          const double step = 2.0 * bound;
+          std::size_t j = j0;
+          if (j == 0 && j < j1) {
+            visit(n, 0.0 + (up != nullptr ? up[0] : 0.0) - 0.0, bound, step);
+            j = 1;
+          }
+          if (up != nullptr) {
+            for (; j < j1; ++j) {
+              visit(n + j, cur[j - 1] + up[j] - up[j - 1], bound, step);
+            }
+          } else {
+            for (; j < j1; ++j) {
+              visit(n + j, cur[j - 1] + 0.0 - 0.0, bound, step);
+            }
+          }
+        });
+      }
+      break;
+    }
+    default: {
+      const std::size_t ny = dims.ny, nz = dims.nz;
+      const std::size_t plane = ny * nz;
+      std::size_t n = 0;
+      for (std::size_t i = 0; i < dims.nx; ++i) {
+        for (std::size_t j = 0; j < ny; ++j, n += nz) {
+          double* cur = u + n;
+          const double* pi = i > 0 ? cur - plane : nullptr;
+          const double* pj = j > 0 ? cur - nz : nullptr;
+          const double* pij = (pi != nullptr && pj != nullptr)
+                                  ? cur - plane - nz
+                                  : nullptr;
+          for_bound_segments(table, n, nz,
+                             [&](std::size_t k0, std::size_t k1, double bound) {
+            const double step = 2.0 * bound;
+            std::size_t k = k0;
+            if (k == 0 && k < k1) {
+              const double x = pi != nullptr ? pi[0] : 0.0;
+              const double y = pj != nullptr ? pj[0] : 0.0;
+              const double xy = pij != nullptr ? pij[0] : 0.0;
+              visit(n, x + y + 0.0 - xy - 0.0 - 0.0 + 0.0, bound, step);
+              k = 1;
+            }
+            if (pij != nullptr) {
+              for (; k < k1; ++k) {
+                const double pred = pi[k] + pj[k] + cur[k - 1] - pij[k] -
+                                    pi[k - 1] - pj[k - 1] + pij[k - 1];
+                visit(n + k, pred, bound, step);
+              }
+            } else if (pi != nullptr) {
+              for (; k < k1; ++k) {
+                const double pred = pi[k] + 0.0 + cur[k - 1] - 0.0 -
+                                    pi[k - 1] - 0.0 + 0.0;
+                visit(n + k, pred, bound, step);
+              }
+            } else if (pj != nullptr) {
+              for (; k < k1; ++k) {
+                const double pred = 0.0 + pj[k] + cur[k - 1] - 0.0 - 0.0 -
+                                    pj[k - 1] + 0.0;
+                visit(n + k, pred, bound, step);
+              }
+            } else {
+              for (; k < k1; ++k) {
+                const double pred =
+                    0.0 + 0.0 + cur[k - 1] - 0.0 - 0.0 - 0.0 + 0.0;
+                visit(n + k, pred, bound, step);
+              }
+            }
+          });
+        }
+      }
+      break;
+    }
+  }
+}
+
+// Quantize `data` against the bound table.  Prediction runs on the decoded
+// surrogate the decoder will see, so each code's reconstruction is what
+// the walk stores in u[n].
 QuantizedStream quantize(std::span<const double> data, const Dims& dims,
                          const BoundTable& table, unsigned quant_bits,
-                         std::vector<double>& decoded,
-                         const RegressionModel* model = nullptr) {
+                         const RegressionModel* model) {
   QuantizedStream out;
   out.codes.resize(data.size());
-  decoded.assign(data.size(), 0.0);
-
+  std::vector<double> decoded(data.size(), 0.0);
   const std::int64_t radius = std::int64_t{1} << (quant_bits - 1);
   const double radius_d = static_cast<double>(radius);
   double* u = decoded.data();
   std::uint32_t* codes = out.codes.data();
 
-  // One quantization decision; identical arithmetic to the historical
-  // per-element body (step == 2.0 * bound is hoisted per segment).
-  auto quantize_one = [&](std::size_t n, double pred, double bound,
-                          double step) {
+  predict_walk(dims, table, u, model,
+               [&](std::size_t n, double pred, double bound, double step) {
     const double v = data[n];
     const double diff = v - pred;
     const double qd = std::round(diff / step);
@@ -333,140 +419,22 @@ QuantizedStream quantize(std::span<const double> data, const Dims& dims,
     codes[n] = 0;  // miss: store verbatim
     out.outliers.push_back(v);
     u[n] = v;
-  };
-
-  if (model != nullptr) {
-    // Hybrid mode keeps the straightforward per-element walk: regression
-    // blocks interleave with Lorenzo blocks, so rows do not decompose
-    // into long branch-free spans.
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < dims.nx; ++i) {
-      for (std::size_t j = 0; j < dims.ny; ++j) {
-        for (std::size_t k = 0; k < dims.nz; ++k, ++n) {
-          const double bound = table.at(n);
-          const std::size_t block = model->block_of(i, j, k);
-          const double pred = model->use_regression[block]
-                                  ? model->predict(i, j, k, block)
-                                  : lorenzo_predict(decoded, i, j, k, dims);
-          quantize_one(n, pred, bound, 2.0 * bound);
-        }
-      }
-    }
-    return out;
-  }
-
-  switch (dims.rank()) {
-    case 1: {
-      for_bound_segments(table, 0, data.size(),
-                         [&](std::size_t s0, std::size_t s1, double bound) {
-        const double step = 2.0 * bound;
-        std::size_t n = s0;
-        if (n == 0 && n < s1) quantize_one(n++, 0.0, bound, step);
-        if (n == 1 && n < s1) quantize_one(n++, u[0], bound, step);
-        for (; n < s1; ++n) {
-          quantize_one(n, 2.0 * u[n - 1] - u[n - 2], bound, step);
-        }
-      });
-      break;
-    }
-    case 2: {
-      const std::size_t ny = dims.ny;
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < dims.nx; ++i, n += ny) {
-        double* cur = u + n;
-        const double* up = i > 0 ? cur - ny : nullptr;
-        for_bound_segments(table, n, ny,
-                           [&](std::size_t j0, std::size_t j1, double bound) {
-          const double step = 2.0 * bound;
-          std::size_t j = j0;
-          if (j == 0 && j < j1) {
-            const double pred = 0.0 + (up != nullptr ? up[0] : 0.0) - 0.0;
-            quantize_one(n, pred, bound, step);
-            j = 1;
-          }
-          if (up != nullptr) {
-            for (; j < j1; ++j) {
-              quantize_one(n + j, cur[j - 1] + up[j] - up[j - 1], bound, step);
-            }
-          } else {
-            for (; j < j1; ++j) {
-              quantize_one(n + j, cur[j - 1] + 0.0 - 0.0, bound, step);
-            }
-          }
-        });
-      }
-      break;
-    }
-    default: {
-      const std::size_t ny = dims.ny, nz = dims.nz;
-      const std::size_t plane = ny * nz;
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < dims.nx; ++i) {
-        for (std::size_t j = 0; j < ny; ++j, n += nz) {
-          double* cur = u + n;
-          const double* pi = i > 0 ? cur - plane : nullptr;
-          const double* pj = j > 0 ? cur - nz : nullptr;
-          const double* pij = (pi != nullptr && pj != nullptr)
-                                  ? cur - plane - nz
-                                  : nullptr;
-          for_bound_segments(table, n, nz,
-                             [&](std::size_t k0, std::size_t k1, double bound) {
-            const double step = 2.0 * bound;
-            std::size_t k = k0;
-            if (k == 0 && k < k1) {
-              const double x = pi != nullptr ? pi[0] : 0.0;
-              const double y = pj != nullptr ? pj[0] : 0.0;
-              const double xy = pij != nullptr ? pij[0] : 0.0;
-              quantize_one(n, x + y + 0.0 - xy - 0.0 - 0.0 + 0.0, bound, step);
-              k = 1;
-            }
-            if (pij != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = pi[k] + pj[k] + cur[k - 1] - pij[k] -
-                                    pi[k - 1] - pj[k - 1] + pij[k - 1];
-                quantize_one(n + k, pred, bound, step);
-              }
-            } else if (pi != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = pi[k] + 0.0 + cur[k - 1] - 0.0 -
-                                    pi[k - 1] - 0.0 + 0.0;
-                quantize_one(n + k, pred, bound, step);
-              }
-            } else if (pj != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = 0.0 + pj[k] + cur[k - 1] - 0.0 - 0.0 -
-                                    pj[k - 1] + 0.0;
-                quantize_one(n + k, pred, bound, step);
-              }
-            } else {
-              for (; k < k1; ++k) {
-                const double pred =
-                    0.0 + 0.0 + cur[k - 1] - 0.0 - 0.0 - 0.0 + 0.0;
-                quantize_one(n + k, pred, bound, step);
-              }
-            }
-          });
-        }
-      }
-      break;
-    }
-  }
+  });
   return out;
 }
 
 std::vector<double> dequantize(const QuantizedStream& qs, const Dims& dims,
                                const BoundTable& table, unsigned quant_bits,
-                               const RegressionModel* model = nullptr) {
+                               const RegressionModel* model) {
   std::vector<double> decoded(dims.count(), 0.0);
   const std::int64_t radius = std::int64_t{1} << (quant_bits - 1);
   double* u = decoded.data();
   const std::uint32_t* codes = qs.codes.data();
   std::size_t outlier_index = 0;
 
-  // `pred` is speculatively computed from already-decoded neighbors; it
-  // is ignored on the outlier path, so hoisting it costs nothing
-  // semantically.
-  auto dequantize_one = [&](std::size_t n, double pred, double step) {
+  // `pred` is ignored on the outlier path.
+  predict_walk(dims, table, u, model,
+               [&](std::size_t n, double pred, double, double step) {
     const std::uint32_t code = codes[n];
     if (code == 0) {
       if (outlier_index >= qs.outliers.size()) {
@@ -478,119 +446,7 @@ std::vector<double> dequantize(const QuantizedStream& qs, const Dims& dims,
       const auto q = static_cast<std::int64_t>(code) - radius;
       u[n] = pred + static_cast<double>(q) * step;
     }
-  };
-
-  if (model != nullptr) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < dims.nx; ++i) {
-      for (std::size_t j = 0; j < dims.ny; ++j) {
-        for (std::size_t k = 0; k < dims.nz; ++k, ++n) {
-          const std::size_t block = model->block_of(i, j, k);
-          const double pred = model->use_regression[block]
-                                  ? model->predict(i, j, k, block)
-                                  : lorenzo_predict(decoded, i, j, k, dims);
-          dequantize_one(n, pred, 2.0 * table.at(n));
-        }
-      }
-    }
-    return decoded;
-  }
-
-  switch (dims.rank()) {
-    case 1: {
-      for_bound_segments(table, 0, decoded.size(),
-                         [&](std::size_t s0, std::size_t s1, double bound) {
-        const double step = 2.0 * bound;
-        std::size_t n = s0;
-        if (n == 0 && n < s1) dequantize_one(n++, 0.0, step);
-        if (n == 1 && n < s1) dequantize_one(n++, u[0], step);
-        for (; n < s1; ++n) {
-          dequantize_one(n, 2.0 * u[n - 1] - u[n - 2], step);
-        }
-      });
-      break;
-    }
-    case 2: {
-      const std::size_t ny = dims.ny;
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < dims.nx; ++i, n += ny) {
-        double* cur = u + n;
-        const double* up = i > 0 ? cur - ny : nullptr;
-        for_bound_segments(table, n, ny,
-                           [&](std::size_t j0, std::size_t j1, double bound) {
-          const double step = 2.0 * bound;
-          std::size_t j = j0;
-          if (j == 0 && j < j1) {
-            dequantize_one(n, 0.0 + (up != nullptr ? up[0] : 0.0) - 0.0, step);
-            j = 1;
-          }
-          if (up != nullptr) {
-            for (; j < j1; ++j) {
-              dequantize_one(n + j, cur[j - 1] + up[j] - up[j - 1], step);
-            }
-          } else {
-            for (; j < j1; ++j) {
-              dequantize_one(n + j, cur[j - 1] + 0.0 - 0.0, step);
-            }
-          }
-        });
-      }
-      break;
-    }
-    default: {
-      const std::size_t ny = dims.ny, nz = dims.nz;
-      const std::size_t plane = ny * nz;
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < dims.nx; ++i) {
-        for (std::size_t j = 0; j < ny; ++j, n += nz) {
-          double* cur = u + n;
-          const double* pi = i > 0 ? cur - plane : nullptr;
-          const double* pj = j > 0 ? cur - nz : nullptr;
-          const double* pij = (pi != nullptr && pj != nullptr)
-                                  ? cur - plane - nz
-                                  : nullptr;
-          for_bound_segments(table, n, nz,
-                             [&](std::size_t k0, std::size_t k1, double bound) {
-            const double step = 2.0 * bound;
-            std::size_t k = k0;
-            if (k == 0 && k < k1) {
-              const double x = pi != nullptr ? pi[0] : 0.0;
-              const double y = pj != nullptr ? pj[0] : 0.0;
-              const double xy = pij != nullptr ? pij[0] : 0.0;
-              dequantize_one(n, x + y + 0.0 - xy - 0.0 - 0.0 + 0.0, step);
-              k = 1;
-            }
-            if (pij != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = pi[k] + pj[k] + cur[k - 1] - pij[k] -
-                                    pi[k - 1] - pj[k - 1] + pij[k - 1];
-                dequantize_one(n + k, pred, step);
-              }
-            } else if (pi != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = pi[k] + 0.0 + cur[k - 1] - 0.0 -
-                                    pi[k - 1] - 0.0 + 0.0;
-                dequantize_one(n + k, pred, step);
-              }
-            } else if (pj != nullptr) {
-              for (; k < k1; ++k) {
-                const double pred = 0.0 + pj[k] + cur[k - 1] - 0.0 - 0.0 -
-                                    pj[k - 1] + 0.0;
-                dequantize_one(n + k, pred, step);
-              }
-            } else {
-              for (; k < k1; ++k) {
-                const double pred =
-                    0.0 + 0.0 + cur[k - 1] - 0.0 - 0.0 - 0.0 + 0.0;
-                dequantize_one(n + k, pred, step);
-              }
-            }
-          });
-        }
-      }
-      break;
-    }
-  }
+  });
   return decoded;
 }
 
@@ -821,11 +677,10 @@ std::vector<std::uint8_t> SzCompressor::compress(std::span<const double> data,
     model = fit_regression_model(to_quantize, dims, table);
   }
 
-  std::vector<double> decoded;
   QuantizedStream qs;
   {
     const obs::ScopedSpan qspan("quantize");
-    qs = quantize(to_quantize, dims, table, options_.quant_bits, decoded,
+    qs = quantize(to_quantize, dims, table, options_.quant_bits,
                   hybrid ? &model : nullptr);
   }
 

@@ -45,6 +45,12 @@ sim::Field IdentityPreconditioner::decode(const io::Container& container,
                                           const sim::Field*) const {
   const auto& section = require_section(container, "data", "identity");
   auto values = codecs.reduced->decompress(section.bytes);
+  if (!fills_grid({container.nx, container.ny, container.nz}, values.size())) {
+    throw io::ContainerError(
+        io::ContainerErrc::kSectionMalformed,
+        "identity decode: payload cell count disagrees with the header shape",
+        "data");
+  }
   return sim::Field::from_data(container.nx, container.ny, container.nz,
                                std::move(values));
 }

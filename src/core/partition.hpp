@@ -29,8 +29,10 @@ class PartitionPreconditioner final : public ReducedModelPreconditioner {
  public:
   /// `tag` defaults to "blocked-<inner name>".  Zero partitions or a
   /// nested inner (a partition or a cascade) throw std::invalid_argument.
-  /// An inner without a reduced model (identity, one-base, ...) can only
+  /// An inner without a reduced model (identity, duomodel, ...) can only
   /// decode legacy archives; encoding with it throws std::invalid_argument.
+  /// So does encoding with one-base or multi-base, whose fits need the 3D
+  /// field that a row block is not.
   explicit PartitionPreconditioner(std::unique_ptr<Preconditioner> inner,
                                    std::size_t partitions = 4,
                                    std::string tag = {});

@@ -1,5 +1,6 @@
 #include "core/preconditioner.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -75,6 +76,14 @@ std::vector<double> traced_decompress(const compress::Compressor& codec,
   const obs::ScopedSpan span(stage);
   obs::count(std::string("decode.bytes.") + stage, bytes.size());
   return codec.decompress(bytes);
+}
+
+bool fills_grid(const compress::Dims& dims, std::size_t count) {
+  return dims.nx != 0 && dims.ny != 0 && dims.nz != 0 &&
+         dims.ny <= std::numeric_limits<std::size_t>::max() / dims.nz &&
+         dims.nx <= std::numeric_limits<std::size_t>::max() /
+                        (dims.ny * dims.nz) &&
+         dims.count() == count;
 }
 
 void fill_stats(const io::Container& container, std::size_t element_count,

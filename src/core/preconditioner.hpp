@@ -76,6 +76,11 @@ const io::Section& require_section(const io::Container& container,
                                    const std::string& name,
                                    const char* decoder);
 
+/// True when `count` values exactly fill a non-empty grid of `dims`, the
+/// product checked for overflow.  Decoders match a decoded payload against
+/// the header shape with this before anything is sized from that shape.
+bool fills_grid(const compress::Dims& dims, std::size_t count);
+
 /// Codec calls under an obs stage span ("reduced-compress",
 /// "delta-compress", ...) with byte accounting, so per-stage cost shows up
 /// in `rmpc --stats` regardless of which preconditioner ran the codec.

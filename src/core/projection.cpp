@@ -1,17 +1,13 @@
 #include "core/projection.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
 #include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
 namespace {
-
-compress::Dims dims3(std::size_t nx, std::size_t ny, std::size_t nz) {
-  return {nx, ny, nz};
-}
 
 void require_3d(const sim::Field& field, const char* who) {
   if (field.rank() != 3) {
@@ -20,26 +16,8 @@ void require_3d(const sim::Field& field, const char* who) {
   }
 }
 
-void base_container(io::Container& container, const sim::Field& field) {
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-}
-
-// Per-plane loops fan out over X ranges once the field is big enough for
-// the pool dispatch to pay for itself; below the cutoff they run inline.
-constexpr std::size_t kParallelElementCutoff = 1u << 14;
-
-void for_x_ranges(std::size_t nx, std::size_t total_elements,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (total_elements < kParallelElementCutoff) {
-    body(0, nx);
-  } else {
-    parallel::parallel_for_ranges(nx, body);
-  }
-}
-
-/// Z-slab extents for multi-base: slab s covers [begin, end).
+/// Z-slab extents for the plane methods: slab s covers [begin, end) and
+/// keeps its mid-plane.  One-base is the single slab [0, nz).
 struct Slab {
   std::size_t begin, end, mid;
 };
@@ -54,93 +32,76 @@ std::vector<Slab> make_slabs(std::size_t nz, std::size_t count) {
   return slabs;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// OneBase
-
-io::Container OneBasePreconditioner::encode(const sim::Field& field,
-                                            const CodecPair& codecs,
-                                            EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/one-base");
-  require_3d(field, "one-base");
-  const std::size_t mid = field.nz() / 2;
-  const sim::Field plane = extract_z_plane(field, mid);
-
-  // Algorithm 1: every plane's delta against the (broadcast) mid-plane.
-  // X-ranges write disjoint regions of `delta`, so they fan out onto the
-  // shared pool.
-  sim::Field delta(field.nx(), field.ny(), field.nz());
-  for_x_ranges(
-      field.nx(), field.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < field.ny(); ++j) {
-            const double base = plane.at(i, j);
-            for (std::size_t k = 0; k < field.nz(); ++k) {
-              delta.at(i, j, k) = field.at(i, j, k) - base;
-            }
-          }
-        }
-      });
-
-  io::Container container;
-  container.method = name();
-  base_container(container, field);
-  container.add("reduced",
-                traced_compress(*codecs.reduced, "reduced-compress",
-                                plane.flat(), dims3(field.nx(), field.ny(), 1)));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                dims3(field.nx(), field.ny(), field.nz())));
-  const std::uint64_t meta[1] = {mid};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("reduced")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
+/// The reconstruction: each slab's plane broadcast over its Z range.
+/// `planes` is the (nx, ny, count) stack, one value per (i, j, slab).
+std::vector<double> broadcast_planes(std::span<const double> planes,
+                                     const compress::Dims& dims,
+                                     const std::vector<Slab>& slabs) {
+  std::vector<double> out(dims.count());
+  std::size_t p = 0;
+  for (std::size_t row = 0; row < dims.nx * dims.ny; ++row) {
+    double* line = out.data() + row * dims.nz;
+    for (const Slab& slab : slabs) {
+      std::fill(line + slab.begin, line + slab.end, planes[p++]);
+    }
   }
-  return container;
-}
-
-sim::Field OneBasePreconditioner::decode(const io::Container& container,
-                                         const CodecPair& codecs,
-                                         const sim::Field*) const {
-  const obs::ScopedSpan span("one-base");
-  const auto& reduced = require_section(container, "reduced", "one-base");
-  const auto& delta_section = require_section(container, "delta", "one-base");
-  const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  if (plane_values.size() != container.nx * container.ny) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "one-base decode: reduced plane size mismatch",
-                             "reduced");
-  }
-  if (delta_values.size() != container.nx * container.ny * container.nz) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "one-base decode: delta size mismatch", "delta");
-  }
-
-  sim::Field out(container.nx, container.ny, container.nz);
-  for_x_ranges(
-      container.nx, container.nx * container.ny * container.nz,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < container.ny; ++j) {
-            const double base = plane_values[i * container.ny + j];
-            for (std::size_t k = 0; k < container.nz; ++k) {
-              out.at(i, j, k) =
-                  base +
-                  delta_values[(i * container.ny + j) * container.nz + k];
-            }
-          }
-        }
-      });
   return out;
 }
 
+/// Fit of both plane methods: the stack of per-slab mid-planes, an
+/// (nx, ny, count) field stored as the "reduced" section.
+ReducedModel fit_planes(const sim::Field& field, std::size_t count,
+                        const CodecPair& codecs) {
+  const compress::Dims dims{field.nx(), field.ny(), field.nz()};
+  const auto slabs = make_slabs(dims.nz, count);
+  std::vector<double> planes;
+  planes.reserve(dims.nx * dims.ny * count);
+  for (std::size_t i = 0; i < dims.nx; ++i) {
+    for (std::size_t j = 0; j < dims.ny; ++j) {
+      for (const Slab& slab : slabs) planes.push_back(field.at(i, j, slab.mid));
+    }
+  }
+  ReducedModel model;
+  model.sections.push_back(
+      {"reduced", traced_compress(*codecs.reduced, "reduced-compress", planes,
+                                  {dims.nx, dims.ny, count})});
+  model.reconstruction = broadcast_planes(planes, dims, slabs);
+  return model;
+}
+
+/// Inverse of fit_planes; `count` is already checked against dims.nz.
+std::vector<double> rebuild_planes(const SectionSource& sections,
+                                   const compress::Dims& dims,
+                                   std::size_t count, const CodecPair& codecs) {
+  const auto planes = codecs.reduced->decompress(sections("reduced").bytes);
+  sections.require(planes.size() == dims.nx * dims.ny * count,
+                   "reduced size mismatch", "reduced");
+  return broadcast_planes(planes, dims, make_slabs(dims.nz, count));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// MultiBase
+// OneBase (Algorithm 1): every plane's delta against the global mid-plane.
+
+ReducedModel OneBasePreconditioner::fit(const sim::Field& field, MatrixShape,
+                                        const CodecPair& codecs) const {
+  require_3d(field, "one-base");
+  ReducedModel model = fit_planes(field, 1, codecs);
+  model.meta = {field.nz() / 2};
+  return model;
+}
+
+// The mid index in "meta" is provenance only: the single slab fixes it.
+std::vector<double> OneBasePreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t>,
+    const compress::Dims& dims, MatrixShape, const CodecPair& codecs) const {
+  return rebuild_planes(sections, dims, 1, codecs);
+}
+
+// ---------------------------------------------------------------------------
+// MultiBase: each Z slab against its own mid-plane -- no broadcast of one
+// global plane, one stored plane per slab.
 
 MultiBasePreconditioner::MultiBasePreconditioner(std::size_t slabs)
     : slabs_(slabs) {
@@ -149,102 +110,22 @@ MultiBasePreconditioner::MultiBasePreconditioner(std::size_t slabs)
   }
 }
 
-io::Container MultiBasePreconditioner::encode(const sim::Field& field,
-                                              const CodecPair& codecs,
-                                              EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/multi-base");
+ReducedModel MultiBasePreconditioner::fit(const sim::Field& field,
+                                          MatrixShape,
+                                          const CodecPair& codecs) const {
   require_3d(field, "multi-base");
   const std::size_t count = std::min(slabs_, field.nz());
-  const auto slabs = make_slabs(field.nz(), count);
-
-  // Reduced model: the stack of per-slab mid-planes, an (nx, ny, count)
-  // field -- no broadcast needed, each sub-domain is self-contained.
-  sim::Field planes(field.nx(), field.ny(), count);
-  for (std::size_t s = 0; s < count; ++s) {
-    for (std::size_t i = 0; i < field.nx(); ++i) {
-      for (std::size_t j = 0; j < field.ny(); ++j) {
-        planes.at(i, j, s) = field.at(i, j, slabs[s].mid);
-      }
-    }
-  }
-
-  // X is the outer parallel axis (disjoint writes per i); each task walks
-  // all slabs for its rows, which keeps the (i, j) plane lookups local.
-  sim::Field delta(field.nx(), field.ny(), field.nz());
-  for_x_ranges(
-      field.nx(), field.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t s = 0; s < count; ++s) {
-            for (std::size_t j = 0; j < field.ny(); ++j) {
-              const double base = planes.at(i, j, s);
-              for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
-                delta.at(i, j, k) = field.at(i, j, k) - base;
-              }
-            }
-          }
-        }
-      });
-
-  io::Container container;
-  container.method = name();
-  base_container(container, field);
-  container.add("reduced",
-                traced_compress(*codecs.reduced, "reduced-compress",
-                                planes.flat(),
-                                dims3(field.nx(), field.ny(), count)));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                dims3(field.nx(), field.ny(), field.nz())));
-  const std::uint64_t meta[1] = {count};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("reduced")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  ReducedModel model = fit_planes(field, count, codecs);
+  model.meta = {count};
+  return model;
 }
 
-sim::Field MultiBasePreconditioner::decode(const io::Container& container,
-                                           const CodecPair& codecs,
-                                           const sim::Field*) const {
-  const obs::ScopedSpan span("multi-base");
-  const auto& reduced = require_section(container, "reduced", "multi-base");
-  const auto& delta_section =
-      require_section(container, "delta", "multi-base");
-  const auto& meta = require_section(container, "meta", "multi-base");
-  const auto meta_values = bytes_to_u64s(meta.bytes);
-  const std::size_t count = meta_values.at(0);
-  const auto slabs = make_slabs(container.nz, count);
-
-  const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  if (plane_values.size() != container.nx * container.ny * count) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "multi-base decode: reduced size mismatch",
-                             "reduced");
-  }
-
-  sim::Field out(container.nx, container.ny, container.nz);
-  for_x_ranges(
-      container.nx, container.nx * container.ny * container.nz,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t s = 0; s < count; ++s) {
-            for (std::size_t j = 0; j < container.ny; ++j) {
-              const double base =
-                  plane_values[(i * container.ny + j) * count + s];
-              for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
-                out.at(i, j, k) =
-                    base +
-                    delta_values[(i * container.ny + j) * container.nz + k];
-              }
-            }
-          }
-        }
-      });
-  return out;
+std::vector<double> MultiBasePreconditioner::rebuild(
+    const SectionSource& sections, std::span<const std::uint64_t> meta,
+    const compress::Dims& dims, MatrixShape, const CodecPair& codecs) const {
+  sections.require(meta.size() == 1 && meta[0] >= 1 && meta[0] <= dims.nz,
+                   "meta [slabs] does not fit the field", "meta");
+  return rebuild_planes(sections, dims, meta[0], codecs);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,15 +161,17 @@ io::Container DuoModelPreconditioner::encode_with_reduced(
 
   io::Container container;
   container.method = name();
-  base_container(container, field);
+  container.nx = field.nx();
+  container.ny = field.ny();
+  container.nz = field.nz();
   container.add("delta",
                 traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                dims3(field.nx(), field.ny(), field.nz())));
+                                {field.nx(), field.ny(), field.nz()}));
   if (store_reduced_) {
     container.add("reduced",
-                  traced_compress(
-                      *codecs.reduced, "reduced-compress", reduced.flat(),
-                      dims3(reduced.nx(), reduced.ny(), reduced.nz())));
+                  traced_compress(*codecs.reduced, "reduced-compress",
+                                  reduced.flat(),
+                                  {reduced.nx(), reduced.ny(), reduced.nz()}));
   }
   const std::uint64_t meta[5] = {reduced.nx(), reduced.ny(), reduced.nz(),
                                  factor_, store_reduced_ ? 1u : 0u};
@@ -306,21 +189,27 @@ io::Container DuoModelPreconditioner::encode_with_reduced(
 sim::Field DuoModelPreconditioner::decode(
     const io::Container& container, const CodecPair& codecs,
     const sim::Field* external_reduced) const {
-  const obs::ScopedSpan span("duomodel");
-  const auto& delta_section = require_section(container, "delta", "duomodel");
-  const auto& meta = require_section(container, "meta", "duomodel");
-  const auto meta_values = bytes_to_u64s(meta.bytes);
-  const std::size_t rnx = meta_values.at(0);
-  const std::size_t rny = meta_values.at(1);
-  const std::size_t rnz = meta_values.at(2);
-  const bool stored = meta_values.at(4) != 0;
+  const SectionSource sections{container, "duomodel", ""};
+  const obs::ScopedSpan span(sections.decoder);
+  const auto& delta_section = sections("delta");
+  const auto meta = bytes_to_u64s(sections("meta").bytes);
+  sections.require(meta.size() == 5,
+                   "meta [nx, ny, nz, factor, stored] is incomplete", "meta");
+  const compress::Dims reduced_dims{meta[0], meta[1], meta[2]};
 
+  // Both payloads are matched against their shapes before the upsample
+  // sizes anything from the header.
+  std::vector<double> values = codecs.delta->decompress(delta_section.bytes);
+  sections.require(
+      fills_grid({container.nx, container.ny, container.nz}, values.size()),
+      "delta size does not match the field shape", "delta");
   sim::Field reduced;
-  if (stored) {
-    const auto& reduced_section =
-        require_section(container, "reduced", "duomodel");
-    reduced = sim::Field::from_data(
-        rnx, rny, rnz, codecs.reduced->decompress(reduced_section.bytes));
+  if (meta[4] != 0) {
+    auto reduced_values = codecs.reduced->decompress(sections("reduced").bytes);
+    sections.require(fills_grid(reduced_dims, reduced_values.size()),
+                     "reduced size does not match its meta shape", "reduced");
+    reduced = sim::Field::from_data(reduced_dims.nx, reduced_dims.ny,
+                                    reduced_dims.nz, std::move(reduced_values));
   } else {
     // True DuoModel: the light simulation is re-run; the caller supplies
     // its output.
@@ -329,8 +218,9 @@ sim::Field DuoModelPreconditioner::decode(
           "duomodel decode: reduced model not stored; supply the re-computed "
           "reduced field");
     }
-    if (external_reduced->nx() != rnx || external_reduced->ny() != rny ||
-        external_reduced->nz() != rnz) {
+    if (external_reduced->nx() != reduced_dims.nx ||
+        external_reduced->ny() != reduced_dims.ny ||
+        external_reduced->nz() != reduced_dims.nz) {
       throw std::invalid_argument(
           "duomodel decode: external reduced field has the wrong shape");
     }
@@ -339,10 +229,9 @@ sim::Field DuoModelPreconditioner::decode(
 
   const sim::Field reconstruction =
       upsample_linear(reduced, container.nx, container.ny, container.nz);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, reconstruction);
+  return add(sim::Field::from_data(container.nx, container.ny, container.nz,
+                                   std::move(values)),
+             reconstruction);
 }
 
 }  // namespace rmp::core

@@ -13,36 +13,44 @@
 //    reduced field).
 //
 // All three require 3D fields (the paper notes 1D Wave is "not relevant"
-// for projection).
+// for projection).  OneBase and MultiBase sit on the reduced-model seam
+// (core/reduced_model.hpp): their "reduced" section is the plane stack and
+// the seam owns the delta, the codecs and the layout.  DuoModel stays off
+// it: it writes "delta" before "reduced" and can decode from a reduced
+// field the caller re-computes.
 #pragma once
 
 #include <cstddef>
 
-#include "core/preconditioner.hpp"
+#include "core/reduced_model.hpp"
 
 namespace rmp::core {
 
-class OneBasePreconditioner final : public Preconditioner {
+class OneBasePreconditioner final : public ReducedModelPreconditioner {
  public:
   std::string name() const override { return "one-base"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 };
 
-class MultiBasePreconditioner final : public Preconditioner {
+class MultiBasePreconditioner final : public ReducedModelPreconditioner {
  public:
   /// `slabs` = number of Z sub-domains, each with a local mid-plane.
   explicit MultiBasePreconditioner(std::size_t slabs = 4);
 
   std::string name() const override { return "multi-base"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ReducedModel fit(const sim::Field& field, MatrixShape shape,
+                   const CodecPair& codecs) const override;
+  std::vector<double> rebuild(const SectionSource& sections,
+                              std::span<const std::uint64_t> meta,
+                              const compress::Dims& dims, MatrixShape shape,
+                              const CodecPair& codecs) const override;
 
  private:
   std::size_t slabs_;

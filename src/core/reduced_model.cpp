@@ -1,11 +1,32 @@
 #include "core/reduced_model.hpp"
 
-#include <limits>
-
 #include "core/serialize.hpp"
 #include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
+namespace {
+
+// The element-wise passes fan out onto the shared pool once the field is
+// big enough for the dispatch to pay for itself; below the cutoff they run
+// inline.  At one flop per element that takes a field of several MB: a
+// pool dispatch blocks its caller until queued chunks drain, so with
+// concurrent rmpd requests a 48^3 pass (0.9 MB) ran slower on the pool
+// than inline, while 96^3 archive fields gain from it.  Elements are
+// independent, so every thread count gives the same bytes.
+constexpr std::size_t kParallelElementCutoff = 1u << 18;
+
+void for_element_ranges(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (count < kParallelElementCutoff) {
+    body(0, count);
+  } else {
+    parallel::parallel_for_ranges(count, body);
+  }
+}
+
+}  // namespace
 
 const io::Section& SectionSource::operator()(const std::string& name) const {
   return require_section(container, name + suffix, decoder.c_str());
@@ -30,9 +51,9 @@ io::Container ReducedModelPreconditioner::encode(const sim::Field& field,
   // The delta overwrites the reconstruction in place: one pass, no copy.
   std::vector<double>& delta = model.reconstruction;
   const auto values = field.flat();
-  for (std::size_t n = 0; n < delta.size(); ++n) {
-    delta[n] = values[n] - delta[n];
-  }
+  for_element_ranges(delta.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t n = begin; n < end; ++n) delta[n] = values[n] - delta[n];
+  });
 
   io::Container container;
   container.method = method;
@@ -73,21 +94,16 @@ sim::Field ReducedModelPreconditioner::decode(const io::Container& container,
   // The decoded delta is real data, so matching the header's shape against
   // it bounds every allocation the rebuild sizes from that shape.
   std::vector<double> values = codecs.delta->decompress(delta_section.bytes);
-  const bool shape_fits =
-      dims.nx != 0 && dims.ny != 0 && dims.nz != 0 &&
-      dims.ny <= std::numeric_limits<std::size_t>::max() / dims.nz &&
-      dims.nx <= std::numeric_limits<std::size_t>::max() / (dims.ny * dims.nz) &&
-      values.size() == dims.count();
-  sections.require(shape_fits, "delta size does not match the field shape",
-                   "delta");
+  sections.require(fills_grid(dims, values.size()),
+                   "delta size does not match the field shape", "delta");
 
   const std::vector<double> reconstruction =
       rebuild(sections, meta, dims, matrix_shape(dims), codecs);
   sections.require(reconstruction.size() == values.size(),
                    "reconstruction size mismatch", "meta");
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    values[n] += reconstruction[n];
-  }
+  for_element_ranges(values.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t n = begin; n < end; ++n) values[n] += reconstruction[n];
+  });
   return sim::Field::from_data(container.nx, container.ny, container.nz,
                                std::move(values));
 }

@@ -1,5 +1,6 @@
 // The seam shared by the matrix preconditioners (PCA, SVD, Wavelet,
-// Tucker) and the partition wrapper over them.  A method supplies only
+// Tucker), the plane methods (OneBase, MultiBase) and the partition
+// wrapper over the matrix methods.  A method supplies only
 // "fit a reduced model" and "rebuild from it"; the encode/decode skeleton
 // here owns the rest of Fig. 5: delta = field - reconstruction, the delta
 // codec, the container layout [reduced sections..., "delta", "meta"] and

@@ -230,6 +230,60 @@ TEST(PartitionMeta, LegacyHostileMetaIsMalformed) {
   expect_malformed(legacy_blocked(1, 64, 8));  // one block cannot hold 64 rows
 }
 
+// Hostile payload sizes and short metadata for the methods outside the
+// partition wrapper: each must be a typed ContainerError{kSectionMalformed},
+// never an out-of-bounds read, std::out_of_range or std::invalid_argument.
+//
+// Here a section holds a well-formed codec payload of too few values: 8
+// against the 8^3 header, 3 against reduced models of 8 or more.
+TEST(HostileSizes, ShortPayloadIsMalformed) {
+  Codecs codecs;
+  const struct {
+    const char* method;
+    const char* section;
+    std::size_t count;
+  } cases[] = {
+      {"one-base", "delta", 8},     {"multi-base", "delta", 8},
+      {"duomodel", "delta", 8},     {"identity", "data", 8},
+      {"one-base", "reduced", 3},   {"multi-base", "reduced", 3},
+      {"duomodel", "reduced", 3},
+  };
+  for (const auto& c : cases) {
+    const std::string section = c.section;
+    const compress::Compressor& codec =
+        section == "delta" ? *codecs.delta : *codecs.reduced;
+    const std::vector<double> values(c.count, 0.5);
+    io::Container container = encoded(c.method);
+    for (auto& s : container.sections) {
+      if (s.name == section) s.bytes = codec.compress(values, {c.count, 1, 1});
+    }
+    expect_malformed(container);
+  }
+}
+
+// Every truncation of the meta words, down to an empty section.
+TEST(HostileSizes, ShortMetaIsMalformed) {
+  for (const char* method : {"multi-base", "duomodel"}) {
+    io::Container container = encoded(method);
+    auto meta = meta_of(container);
+    while (!meta.empty()) {
+      meta.pop_back();
+      set_meta(container, meta);
+      expect_malformed(container);
+    }
+  }
+}
+
+TEST(HostileSizes, MultiBaseSlabCountBeyondTheGridIsMalformed) {
+  for (const std::uint64_t count : {std::uint64_t{0}, std::uint64_t{9},
+                                    std::uint64_t{1} << 40}) {
+    io::Container container = encoded("multi-base");
+    const std::uint64_t meta[1] = {count};
+    set_meta(container, meta);
+    expect_malformed(container);
+  }
+}
+
 TEST(DecodeErrors, ReconstructRejectsUnknownMethod) {
   Codecs codecs;
   io::Container container;

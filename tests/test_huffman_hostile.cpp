@@ -80,6 +80,24 @@ std::vector<double> synthetic_field(std::size_t n) {
   return f;
 }
 
+// First half smooth (Lorenzo territory), second half a noisy ramp that a
+// fitted hyperplane predicts better than any neighbor stencil.
+std::vector<double> patchy_field(std::size_t n) {
+  std::vector<double> f = synthetic_field(n);
+  std::mt19937_64 rng(4321);
+  for (std::size_t i = n / 2; i < n; ++i) {
+    const double noise =
+        static_cast<double>(rng() >> 11) / 9007199254740992.0 - 0.5;
+    f[i] = 1e-3 * static_cast<double>(i) + 0.05 * noise;
+  }
+  return f;
+}
+
+std::uint32_t doubles_crc(const std::vector<double>& values) {
+  return io::crc32({reinterpret_cast<const std::uint8_t*>(values.data()),
+                    values.size() * sizeof(double)});
+}
+
 // --- truncation: every prefix must fail typed or decode correctly -------
 
 void expect_truncation_hardened(const std::vector<std::uint8_t>& bytes,
@@ -337,13 +355,18 @@ TEST(HuffmanGolden, SzArchiveBytesArePinned) {
     double bound;
     std::size_t size;
     std::uint32_t crc;
+    std::uint32_t decoded_crc;  // of the decompressed doubles
   } cfgs[] = {
-      {SzMode::kAbsolute, SzPredictor::kLorenzo, 1e-4, 3405u, 0xBA0A7283u},
-      {SzMode::kBlockRelative, SzPredictor::kLorenzo, 1e-5, 6376u, 0xD372D1ADu},
+      {SzMode::kAbsolute, SzPredictor::kLorenzo, 1e-4, 3405u, 0xBA0A7283u,
+       0xAA3687F9u},
+      {SzMode::kBlockRelative, SzPredictor::kLorenzo, 1e-5, 6376u, 0xD372D1ADu,
+       0xEB7B3462u},
       {SzMode::kPointwiseRelative, SzPredictor::kLorenzo, 1e-5, 9711u,
-       0xA50E8197u},
-      {SzMode::kAbsolute, SzPredictor::kHybrid, 1e-4, 3440u, 0x23C0CD19u},
-      {SzMode::kBlockRelative, SzPredictor::kHybrid, 1e-5, 6411u, 0x3E4AE84Cu},
+       0xA50E8197u, 0xE2EB759Fu},
+      {SzMode::kAbsolute, SzPredictor::kHybrid, 1e-4, 3440u, 0x23C0CD19u,
+       0xAA3687F9u},
+      {SzMode::kBlockRelative, SzPredictor::kHybrid, 1e-5, 6411u, 0x3E4AE84Cu,
+       0xEB7B3462u},
   };
   for (const auto& c : cfgs) {
     SzOptions opt;
@@ -354,17 +377,46 @@ TEST(HuffmanGolden, SzArchiveBytesArePinned) {
     const auto bytes = sz.compress(field, dims);
     EXPECT_EQ(bytes.size(), c.size);
     EXPECT_EQ(io::crc32(bytes), c.crc);
+    EXPECT_EQ(doubles_crc(sz.decompress(bytes)), c.decoded_crc);
   }
 
+  // Every rank's walk, Lorenzo and hybrid.  On the patchy fields the
+  // hybrid model picks regression for the noisy half and Lorenzo for the
+  // smooth half, so both predictors of the hybrid walk are pinned.
+  const Dims d3{17, 13, 9};
   const Dims d2{64, 31, 1};
-  const SzCompressor szd{SzOptions{}};
-  const auto b2 = szd.compress(synthetic_field(d2.count()), d2);
-  EXPECT_EQ(b2.size(), 6921u);
-  EXPECT_EQ(io::crc32(b2), 0xDA613D62u);
   const Dims d1{1536, 1, 1};
-  const auto b1 = szd.compress(synthetic_field(d1.count()), d1);
-  EXPECT_EQ(b1.size(), 1583u);
-  EXPECT_EQ(io::crc32(b1), 0x38035022u);
+  const struct {
+    Dims dims;
+    SzPredictor pred;
+    bool patchy;
+    std::size_t size;
+    std::uint32_t crc;
+    std::uint32_t decoded_crc;
+  } shapes[] = {
+      {d2, SzPredictor::kLorenzo, false, 6921u, 0xDA613D62u, 0xBBBE9F7Au},
+      {d1, SzPredictor::kLorenzo, false, 1583u, 0x38035022u, 0x066AA02Au},
+      {d2, SzPredictor::kHybrid, false, 6939u, 0xE6613485u, 0xBBBE9F7Au},
+      {d1, SzPredictor::kHybrid, false, 1617u, 0xAC8157A3u, 0x066AA02Au},
+      {d3, SzPredictor::kLorenzo, true, 8096u, 0x5A36B6B8u, 0x26112929u},
+      {d3, SzPredictor::kHybrid, true, 7860u, 0xAF1CA1CEu, 0x57AFBBACu},
+      {d2, SzPredictor::kLorenzo, true, 7868u, 0xFE72C407u, 0x341E1E80u},
+      {d2, SzPredictor::kHybrid, true, 7104u, 0x4C4DE82Au, 0xF1DD1F18u},
+      {d1, SzPredictor::kLorenzo, true, 5376u, 0xFC6C8898u, 0xFD4E036Du},
+      {d1, SzPredictor::kHybrid, true, 5076u, 0x0E0E5043u, 0x05EB5B59u},
+  };
+  for (const auto& s : shapes) {
+    SzOptions opt;
+    opt.predictor = s.pred;
+    const SzCompressor sz(opt);
+    const auto bytes = sz.compress(s.patchy ? patchy_field(s.dims.count())
+                                            : synthetic_field(s.dims.count()),
+                                   s.dims);
+    EXPECT_EQ(bytes.size(), s.size) << s.dims.rank() << "D";
+    EXPECT_EQ(io::crc32(bytes), s.crc) << s.dims.rank() << "D";
+    EXPECT_EQ(doubles_crc(sz.decompress(bytes)), s.decoded_crc)
+        << s.dims.rank() << "D";
+  }
 }
 
 TEST(HuffmanGolden, JacobiSweepsAreBitIdentical) {

@@ -65,7 +65,15 @@ constexpr Pin kPins[] = {
     {"wavelet", 1900u, 0x36A6E3E4u, 637u, 0x9DFA7D9Du},
     {"tucker", 3311u, 0x20C7C7D0u, 1373u, 0x928317ABu},
     {"pca-part", 9905u, 0xADD502AFu, 3718u, 0x92C5DC72u},
+    {"one-base", 3030u, 0x43E5D55Eu, 736u, 0x96878BE9u},
+    {"multi-base", 5588u, 0x75D12182u, 1025u, 0x3EDCEEBAu},
+    {"duomodel", 2591u, 0x7DC73B47u, 578u, 0xD6B4995Au},
 };
+
+std::uint32_t field_crc(const sim::Field& field) {
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(field.flat().data());
+  return io::crc32({raw, field.size() * sizeof(double)});
+}
 
 TEST(PrecondGolden, SerializedBytesArePinned) {
   const sim::Field field = golden_field();
@@ -81,6 +89,41 @@ TEST(PrecondGolden, SerializedBytesArePinned) {
     EXPECT_EQ(io::crc32(sz_bytes), pin.sz_crc) << pin.method << " / sz";
     EXPECT_EQ(zfp_bytes.size(), pin.zfp_size) << pin.method << " / zfp";
     EXPECT_EQ(io::crc32(zfp_bytes), pin.zfp_crc) << pin.method << " / zfp";
+  }
+}
+
+// CRC-32 of the decoded doubles, so the decode path is pinned as well as
+// the encoder.
+struct DecodedPin {
+  const char* method;
+  std::uint32_t sz_crc;
+  std::uint32_t zfp_crc;
+};
+
+constexpr DecodedPin kDecodedPins[] = {
+    {"pca", 0xEDE2F410u, 0xC028CC8Eu},
+    {"svd", 0x97F85940u, 0x5210CA27u},
+    {"wavelet", 0x5179A4DFu, 0x32BD5DEFu},
+    {"tucker", 0xA5B8AE0Eu, 0xA94531B1u},
+    {"pca-part", 0x4EA03AA8u, 0x6F8E8B33u},
+    {"one-base", 0xC315E467u, 0x80AF84FEu},
+    {"multi-base", 0x05A3DBC1u, 0xFA0577B9u},
+    {"duomodel", 0x5B42AA9Fu, 0xFD98FF34u},
+};
+
+TEST(PrecondGolden, DecodedFieldsArePinned) {
+  const sim::Field field = golden_field();
+  const Codecs sz = sz_pair();
+  const Codecs zfp = zfp_pair();
+  for (const DecodedPin& pin : kDecodedPins) {
+    const auto preconditioner = make_preconditioner(pin.method);
+    const sim::Field sz_field = preconditioner->decode(
+        preconditioner->encode(field, sz.pair(), nullptr), sz.pair(), nullptr);
+    const sim::Field zfp_field = preconditioner->decode(
+        preconditioner->encode(field, zfp.pair(), nullptr), zfp.pair(),
+        nullptr);
+    EXPECT_EQ(field_crc(sz_field), pin.sz_crc) << pin.method << " / sz";
+    EXPECT_EQ(field_crc(zfp_field), pin.zfp_crc) << pin.method << " / zfp";
   }
 }
 
@@ -128,8 +171,7 @@ TEST(PrecondGolden, LegacyBlockedPcaArchiveDecodes) {
   const Codecs sz = sz_pair();
   const sim::Field decoded = reconstruct(container, sz.pair());
   ASSERT_EQ(decoded.size(), 512u);
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(decoded.flat().data());
-  EXPECT_EQ(io::crc32({raw, decoded.size() * sizeof(double)}), 0xFF48C8CFu);
+  EXPECT_EQ(field_crc(decoded), 0xFF48C8CFu);
 }
 
 }  // namespace
