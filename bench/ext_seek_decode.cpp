@@ -1,13 +1,14 @@
-// ext_seek_decode -- seekable-archive decode bench (DESIGN.md §12),
+// ext_seek_decode -- sequence-archive decode bench (DESIGN.md §12),
 // emitted as machine-readable JSON (schema rmp-bench-seek-v1).
 //
-// Builds a v4 sequence archive (per-section chunk index + CRC'd
-// sequence trailer) of N encoded steps, then measures
-//   1. whole-sequence parallel chunked decode across a thread sweep
-//      (ChunkFetcher + fetch_all on a ScopedPoolOverride pool), with the
-//      decoded fields verified identical to the single-thread run, and
+// Builds a sequence archive (CRC'd trailer index) of N encoded steps,
+// then measures
+//   1. whole-sequence decode (read_step + reconstruct per step, in
+//      order) across a thread sweep of the pool the codec and model
+//      stages run on (ScopedPoolOverride), with the decoded fields
+//      verified identical to the single-thread run, and
 //   2. random access to one step, reporting the bytes actually read --
-//      the O(step K) seek property the chunk index buys.
+//      the O(step K) seek property the trailer index buys.
 //
 //   ext_seek_decode [scale] [out.json]
 //
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/chunk_fetch.hpp"
+#include "core/pipeline.hpp"
 #include "io/sequence_file.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -47,23 +48,21 @@ int main(int argc, char** argv) {
 
   obs::set_enabled(true);
   bench::print_header("ext_seek_decode",
-                      "seekable v4 archive: parallel chunked decode sweep");
+                      "sequence archive: whole-sequence decode sweep");
 
   const auto dataset = sim::make_dataset(sim::DatasetId::kHeat3d, scale);
   bench::SzCodecs sz;
   const core::CodecPair pair = sz.pair();
   const auto preconditioner = core::make_preconditioner("pca");
 
-  // Encode kSteps drifted copies of the field into a seekable archive.
+  // Encode kSteps drifted copies of the field into a sequence archive.
   const std::filesystem::path archive =
       std::filesystem::temp_directory_path() / "ext_seek_decode.rmps";
   std::filesystem::remove(archive);
   std::filesystem::remove(io::sequence_journal_path(archive));
-  io::SerializeOptions options;
-  options.with_chunk_index = true;
   std::size_t original_bytes_per_step = 0;
   {
-    io::SequenceWriter writer(archive, options);
+    io::SequenceWriter writer(archive);
     for (std::size_t step = 0; step < kSteps; ++step) {
       std::vector<double> drifted(dataset.full.flat().begin(),
                                   dataset.full.flat().end());
@@ -80,8 +79,8 @@ int main(int argc, char** argv) {
   const double total_bytes =
       static_cast<double>(original_bytes_per_step * kSteps);
 
-  // Thread sweep: decode all steps through the chunk fetcher, verifying
-  // each run reproduces the single-thread fields exactly.
+  // Thread sweep: decode all steps in order, verifying each run
+  // reproduces the single-thread fields exactly.
   struct SweepRun {
     std::size_t threads = 0;
     double seconds = 0;
@@ -92,13 +91,11 @@ int main(int argc, char** argv) {
     parallel::ThreadPool pool(threads);
     parallel::ScopedPoolOverride override_pool(pool);
     const io::SequenceReader reader(archive);
-    core::ChunkFetcher fetcher = core::make_sequence_fetcher(reader);
 
     const auto start = obs::now();
-    const auto chunks = core::fetch_all(fetcher);
-    std::vector<std::vector<double>> fields(chunks.size());
-    for (std::size_t step = 0; step < chunks.size(); ++step) {
-      fields[step] = core::reconstruct(*chunks[step], pair).storage();
+    std::vector<std::vector<double>> fields(reader.step_count());
+    for (std::size_t step = 0; step < fields.size(); ++step) {
+      fields[step] = core::reconstruct(reader.read_step(step), pair).storage();
     }
     const double seconds = obs::seconds_since(start);
 

@@ -44,7 +44,8 @@ sim::Field IdentityPreconditioner::decode(const io::Container& container,
                                           const CodecPair& codecs,
                                           const sim::Field*) const {
   const auto& section = require_section(container, "data", "identity");
-  auto values = codecs.reduced->decompress(section.bytes);
+  auto values =
+      traced_decompress(*codecs.reduced, "delta-decompress", section.bytes);
   if (!fills_grid({container.nx, container.ny, container.nz}, values.size())) {
     throw io::ContainerError(
         io::ContainerErrc::kSectionMalformed,

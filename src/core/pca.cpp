@@ -134,7 +134,8 @@ std::vector<double> PcaPreconditioner::rebuild(
                    "basis shape mismatch", "basis");
   const auto means = bytes_to_doubles(means_section.bytes);
   sections.require(means.size() == n, "means size mismatch", "means");
-  auto score_values = codecs.reduced->decompress(scores_section.bytes);
+  auto score_values = traced_decompress(*codecs.reduced, "reduced-decompress",
+                                        scores_section.bytes);
   sections.require(score_values.size() == m * k, "scores size mismatch",
                    "scores");
   const la::Matrix scores(m, k, std::move(score_values));

@@ -73,7 +73,8 @@ ReducedModel fit_planes(const sim::Field& field, std::size_t count,
 std::vector<double> rebuild_planes(const SectionSource& sections,
                                    const compress::Dims& dims,
                                    std::size_t count, const CodecPair& codecs) {
-  const auto planes = codecs.reduced->decompress(sections("reduced").bytes);
+  const auto planes = traced_decompress(*codecs.reduced, "reduced-decompress",
+                                        sections("reduced").bytes);
   sections.require(planes.size() == dims.nx * dims.ny * count,
                    "reduced size mismatch", "reduced");
   return broadcast_planes(planes, dims, make_slabs(dims.nz, count));
@@ -199,13 +200,15 @@ sim::Field DuoModelPreconditioner::decode(
 
   // Both payloads are matched against their shapes before the upsample
   // sizes anything from the header.
-  std::vector<double> values = codecs.delta->decompress(delta_section.bytes);
+  std::vector<double> values =
+      traced_decompress(*codecs.delta, "delta-decompress", delta_section.bytes);
   sections.require(
       fills_grid({container.nx, container.ny, container.nz}, values.size()),
       "delta size does not match the field shape", "delta");
   sim::Field reduced;
   if (meta[4] != 0) {
-    auto reduced_values = codecs.reduced->decompress(sections("reduced").bytes);
+    auto reduced_values = traced_decompress(
+        *codecs.reduced, "reduced-decompress", sections("reduced").bytes);
     sections.require(fills_grid(reduced_dims, reduced_values.size()),
                      "reduced size does not match its meta shape", "reduced");
     reduced = sim::Field::from_data(reduced_dims.nx, reduced_dims.ny,

@@ -93,7 +93,8 @@ sim::Field ReducedModelPreconditioner::decode(const io::Container& container,
 
   // The decoded delta is real data, so matching the header's shape against
   // it bounds every allocation the rebuild sizes from that shape.
-  std::vector<double> values = codecs.delta->decompress(delta_section.bytes);
+  std::vector<double> values =
+      traced_decompress(*codecs.delta, "delta-decompress", delta_section.bytes);
   sections.require(fills_grid(dims, values.size()),
                    "delta size does not match the field shape", "delta");
 

@@ -123,7 +123,8 @@ std::vector<double> SvdPreconditioner::rebuild(
   const la::Matrix vk = bytes_to_matrix(v_section.bytes);
   sections.require(vk.rows() == v_rows && vk.cols() == k,
                    "v shape mismatch", "v");
-  auto p_values = codecs.reduced->decompress(p_section.bytes);
+  auto p_values =
+      traced_decompress(*codecs.reduced, "reduced-decompress", p_section.bytes);
   sections.require(p_values.size() == u_rows * k, "u_sigma size mismatch",
                    "u_sigma");
   const la::Matrix p(u_rows, k, std::move(p_values));

@@ -252,7 +252,8 @@ std::vector<double> TuckerPreconditioner::rebuild(
                      "factor shape mismatch", name);
   }
 
-  std::vector<double> recon = codecs.reduced->decompress(core_section.bytes);
+  std::vector<double> recon = traced_decompress(
+      *codecs.reduced, "reduced-decompress", core_section.bytes);
   sections.require(recon.size() == core_shape.count(), "core size mismatch",
                    "core");
   Shape3 current = core_shape;

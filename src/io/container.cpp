@@ -15,7 +15,7 @@ namespace {
 constexpr std::uint32_t kMagic = 0x50434D52;  // "RMCP"
 constexpr std::uint32_t kVersionV2 = 2;       // whole-file CRC trailer
 constexpr std::uint32_t kVersionV3 = 3;       // per-section CRC + parity
-constexpr std::uint32_t kVersionV4 = 4;       // v3 + explicit chunk index
+constexpr std::uint32_t kVersionV4 = 4;       // v3 + offsets (read only)
 constexpr std::uint32_t kFlagParity = 1u << 0;
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
@@ -113,8 +113,9 @@ std::size_t max_section_size(const Container& container) {
 //      directory {name, size, crc}*, (parity_size, parity_crc)?, header_crc]
 //     [payload 0]...[payload n-1][parity bytes?]
 // v4: identical except each directory entry is {name, offset, size, crc}
-//     with `offset` relative to the first payload byte -- the chunk index
-//     that lets a seekable reader pread one section without a scan.
+//     with `offset` relative to the first payload byte.  Earlier releases
+//     wrote it; the offsets must equal the cumulative sizes, so it reads
+//     exactly like v3.
 
 struct DirEntry {
   std::string name;
@@ -135,10 +136,10 @@ struct HeaderV3 {
 };
 
 /// Shared v3/v4 header parse.  `bytes` may be a prefix of the archive
-/// (ContainerFileReader grows its read window on kTruncated); `available`
+/// (probe_container_header grows its read window on kTruncated); `available`
 /// is the full archive footprint budget the payloads are validated
 /// against -- bytes.size() for in-memory parses, the file size for
-/// seekable reads.
+/// header-only probes.
 HeaderV3 parse_v34_header(std::span<const std::uint8_t> bytes,
                           std::uint64_t available) {
   Cursor cursor(bytes);
@@ -177,8 +178,8 @@ HeaderV3 parse_v34_header(std::span<const std::uint8_t> bytes,
     entry.name = cursor.read_string();
     if (header.version == kVersionV4) {
       entry.offset = cursor.read_u64();
-      // The chunk index must describe exactly the contiguous layout the
-      // serializer emits: gaps or overlaps would let a corrupt entry
+      // The offsets must describe exactly the contiguous layout the
+      // serializer emitted: gaps or overlaps would let a corrupt entry
       // alias another section's bytes past its CRC domain.
       if (entry.offset != running) {
         throw ContainerError(ContainerErrc::kIndexCorrupt,
@@ -400,37 +401,6 @@ std::uint32_t peek_version(std::span<const std::uint8_t> bytes) {
   return version;
 }
 
-/// Parse the v3/v4 header at the start of `file`.  The header length is
-/// not known until it parses; read a window and double it on kTruncated
-/// until the parse fits (or the window is the whole file, at which point
-/// kTruncated is real).
-HeaderV3 read_file_header(const ReadFile& file) {
-  const std::uint64_t size = file.size();
-  std::vector<std::uint8_t> prefix;
-  std::size_t window =
-      static_cast<std::size_t>(std::min<std::uint64_t>(size, 4096));
-  for (;;) {
-    prefix.resize(window);
-    file.read_exact_at(0, prefix.data(), window);
-    try {
-      if (peek_version(prefix) == kVersionV2) {
-        throw ContainerError(
-            ContainerErrc::kBadVersion,
-            "v2 containers have one whole-file integrity domain and "
-            "cannot be read seekably; use read_container");
-      }
-      return parse_v34_header(prefix, size);
-    } catch (const ContainerError& error) {
-      if (error.code() == ContainerErrc::kTruncated && window < size) {
-        window = static_cast<std::size_t>(
-            std::min<std::uint64_t>(size, std::uint64_t{window} * 2));
-        continue;
-      }
-      throw;
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path,
@@ -518,20 +488,15 @@ std::vector<std::uint8_t> serialize(const Container& container,
 
   std::vector<std::uint8_t> out;
   append_u32(out, kMagic);
-  append_u32(out, options.with_chunk_index ? kVersionV4 : kVersionV3);
+  append_u32(out, kVersionV3);
   append_u32(out, options.with_parity ? kFlagParity : 0u);
   append_string(out, container.method);
   append_u64(out, container.nx);
   append_u64(out, container.ny);
   append_u64(out, container.nz);
   append_u32(out, static_cast<std::uint32_t>(container.sections.size()));
-  std::uint64_t payload_cursor = 0;
   for (const auto& section : container.sections) {
     append_string(out, section.name);
-    if (options.with_chunk_index) {
-      append_u64(out, payload_cursor);
-      payload_cursor += section.bytes.size();
-    }
     append_u64(out, section.bytes.size());
     append_u32(out, crc32(section.bytes));
   }
@@ -609,8 +574,28 @@ std::optional<std::size_t> probe_container(
 }
 
 std::optional<std::uint64_t> probe_container_header(const ReadFile& file) {
+  // The header length is not known until it parses: read a window and
+  // double it on kTruncated until the parse fits (or the window is the
+  // whole file, at which point kTruncated is real).  A v2 header fails
+  // the parse with kBadVersion.
+  const std::uint64_t size = file.size();
+  std::vector<std::uint8_t> prefix;
+  std::size_t window =
+      static_cast<std::size_t>(std::min<std::uint64_t>(size, 4096));
   try {
-    return read_file_header(file).total_size;
+    for (;;) {
+      prefix.resize(window);
+      file.read_exact_at(0, prefix.data(), window);
+      try {
+        return parse_v34_header(prefix, size).total_size;
+      } catch (const ContainerError& error) {
+        if (error.code() != ContainerErrc::kTruncated || window == size) {
+          throw;
+        }
+        window = static_cast<std::size_t>(
+            std::min<std::uint64_t>(size, std::uint64_t{window} * 2));
+      }
+    }
   } catch (const ContainerError&) {
     return std::nullopt;
   }
@@ -642,77 +627,6 @@ Container read_container_salvage(const std::filesystem::path& path,
   const auto bytes = read_file_bytes(path, "read_container_salvage");
   obs::count("io.container.bytes_read", bytes.size());
   return deserialize_salvage(bytes, report);
-}
-
-// ---------------------------------------------------------------------------
-// ContainerFileReader
-
-ContainerFileReader::ContainerFileReader(const std::filesystem::path& path,
-                                         const RetryPolicy& policy)
-    : file_(ReadFile::open(path, "ContainerFileReader", policy)) {
-  const obs::ScopedSpan span("container-open-seekable");
-  const std::uint64_t size = file_.size();
-  if (size == 0) {
-    throw ContainerError(ContainerErrc::kTruncated,
-                         path.string() + " is empty");
-  }
-  HeaderV3 header = read_file_header(file_);
-  if (size > header.total_size) {
-    throw ContainerError(ContainerErrc::kTrailingGarbage,
-                         "file extends past container footprint");
-  }
-  version_ = header.version;
-  shell_ = std::move(header.shell);
-  sections_.reserve(header.dir.size());
-  for (const DirEntry& entry : header.dir) {
-    sections_.push_back({entry.name, header.payload_offset + entry.offset,
-                         entry.size, entry.crc});
-  }
-}
-
-const SectionInfo* ContainerFileReader::find(
-    const std::string& name) const noexcept {
-  for (const auto& info : sections_) {
-    if (info.name == name) return &info;
-  }
-  return nullptr;
-}
-
-std::vector<std::uint8_t> ContainerFileReader::read_section(
-    const SectionInfo& info) const {
-  // Re-validate against the file footprint: the caller may hand us a
-  // SectionInfo it fabricated, not one of ours.
-  if (info.offset > file_.size() || info.size > file_.size() - info.offset) {
-    throw ContainerError(ContainerErrc::kTruncated,
-                         "section extends past end of file", info.name);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(info.size));
-  file_.read_exact_at(info.offset, bytes.data(), bytes.size());
-  obs::count("io.container.sections_verified");
-  if (crc32(bytes) != info.crc) {
-    obs::count("io.container.sections_damaged");
-    throw ContainerError(ContainerErrc::kSectionCorrupt,
-                         "payload checksum mismatch", info.name);
-  }
-  return bytes;
-}
-
-std::vector<std::uint8_t> ContainerFileReader::read_section(
-    const std::string& name) const {
-  const SectionInfo* info = find(name);
-  if (info == nullptr) {
-    throw ContainerError(ContainerErrc::kMissingSection,
-                         "no such section in chunk index", name);
-  }
-  return read_section(*info);
-}
-
-Container ContainerFileReader::read_all() const {
-  Container container = shell_;
-  for (const auto& info : sections_) {
-    container.add(info.name, read_section(info));
-  }
-  return container;
 }
 
 }  // namespace rmp::io

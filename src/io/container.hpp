@@ -11,13 +11,10 @@
 // corrupted section.  v2 archives (whole-file CRC trailer) still read
 // back unchanged.
 //
-// Format v4 additionally records an explicit payload offset in every
-// directory entry -- a chunk index -- so a seekable reader
-// (ContainerFileReader) can pread any single section in O(that section)
-// bytes without touching the rest of the archive (DESIGN.md §12).  v4 is
-// opt-in (SerializeOptions::with_chunk_index); default output stays v3
-// and byte-identical to previous releases, and v2/v3 archives keep
-// deserializing unchanged.
+// Format v4 (written by earlier releases) additionally recorded each
+// section's payload offset in its directory entry.  Those offsets must
+// equal v3's cumulative section sizes, so they carry no information:
+// v4 archives still read back, and everything written now is v3.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +51,6 @@ struct SerializeOptions {
   /// Append an XOR-parity block (sized like the largest section) that can
   /// reconstruct any single corrupted section payload.
   bool with_parity = false;
-  /// Emit format v4: directory entries carry explicit payload offsets (a
-  /// chunk index) so ContainerFileReader can address any section in O(1).
-  /// Off by default -- v3 output stays byte-identical for existing flows.
-  bool with_chunk_index = false;
   /// Retry/backoff policy (including the optional wall-clock deadline)
   /// applied to every durable write this archive performs.  Affects only
   /// I/O behaviour, never the serialized bytes, so archives stay
@@ -93,8 +86,7 @@ struct ReadReport {
   std::vector<std::string> damaged() const;
 };
 
-/// Serialize to a flat byte buffer (format v3, or v4 when
-/// options.with_chunk_index is set).
+/// Serialize to a flat byte buffer (format v3).
 std::vector<std::uint8_t> serialize(const Container& container,
                                     const SerializeOptions& options = {});
 
@@ -139,50 +131,5 @@ void write_container(const std::filesystem::path& path,
 Container read_container(const std::filesystem::path& path);
 Container read_container_salvage(const std::filesystem::path& path,
                                  ReadReport* report = nullptr);
-
-/// One entry of a seekable archive's chunk index.
-struct SectionInfo {
-  std::string name;
-  std::uint64_t offset = 0;  ///< absolute file offset of the payload
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-};
-
-/// Seekable archive reader: parses only the header, then serves
-/// individual sections by positional read -- O(that section) bytes per
-/// access instead of O(file).  Works on v4 (explicit chunk index) and v3
-/// (offsets reconstructed from the directory's cumulative sizes); v2 has
-/// a single whole-file integrity domain and is rejected with
-/// kBadVersion.  All read methods are const and share one pread-backed
-/// ReadFile, so a single reader serves N threads concurrently.
-class ContainerFileReader {
- public:
-  explicit ContainerFileReader(const std::filesystem::path& path,
-                               const RetryPolicy& policy = {});
-
-  std::uint32_t version() const noexcept { return version_; }
-  /// Method + dims with no section payloads loaded.
-  const Container& shell() const noexcept { return shell_; }
-  const std::vector<SectionInfo>& sections() const noexcept {
-    return sections_;
-  }
-  const SectionInfo* find(const std::string& name) const noexcept;
-  std::uint64_t file_size() const noexcept { return file_.size(); }
-
-  /// pread + CRC-verify one section payload.  Throws
-  /// ContainerError{kSectionCorrupt} naming the section on mismatch.
-  std::vector<std::uint8_t> read_section(const SectionInfo& info) const;
-  std::vector<std::uint8_t> read_section(const std::string& name) const;
-
-  /// Read and verify every section: the seekable equivalent of
-  /// read_container (same bytes, section-at-a-time I/O).
-  Container read_all() const;
-
- private:
-  ReadFile file_;
-  std::uint32_t version_ = 0;
-  Container shell_;
-  std::vector<SectionInfo> sections_;
-};
 
 }  // namespace rmp::io

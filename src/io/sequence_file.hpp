@@ -7,8 +7,8 @@
 // Each step is a serialized container followed by a 32-byte CRC'd commit
 // marker; the trailing index is a list of (offset, size, crc32) triples
 // addressing (and checksumming) the containers -- the sequence-level
-// chunk index that makes any step O(1) addressable and lets a fetcher
-// validate a chunk without deserializing it (DESIGN.md §12).  Archives
+// chunk index that makes any step O(1) addressable and lets a reader
+// validate a step without deserializing it (DESIGN.md §12).  Archives
 // written before the CRC column (magic kSequenceMagic rather than
 // kSequenceMagicV2) still read back unchanged.  Each embedded container
 // additionally carries its own integrity metadata (io/container.cpp), so

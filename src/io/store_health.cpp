@@ -318,10 +318,9 @@ ScrubReport scrub_one_file(const std::filesystem::path& dir,
     }
     if (rr.repaired()) {
       // Parity rebuilt every damaged section: republish the healed bytes
-      // in the file's own format (parity/chunk-index inferred from what
-      // it actually carried) so the store converges back to clean.
+      // as v3, with parity when the file carried it, so the store
+      // converges back to clean.
       const SerializeOptions out{.with_parity = rr.parity_present,
-                                 .with_chunk_index = rr.version >= 4,
                                  .retry = options.retry};
       atomic_publish_bytes(path, serialize(container, out), "scrub_store",
                            options.retry);
@@ -354,9 +353,8 @@ ScrubReport scrub_one_file(const std::filesystem::path& dir,
       }
       if (rr.repaired()) {
         step_bytes = serialize(
-            container, {.with_parity = rr.parity_present,
-                        .with_chunk_index = rr.version >= 4,
-                        .retry = options.retry});
+            container,
+            {.with_parity = rr.parity_present, .retry = options.retry});
         report.sections_repaired += count_repaired(rr);
         republish = true;
       }

@@ -121,9 +121,9 @@ std::vector<RequestLogEntry> scan_request_log(
 // Scrub
 
 struct ScrubOptions {
-  /// Applied to re-serialized (repaired) steps; parity/chunk-index are
-  /// still inferred per archive from what the damaged file actually
-  /// carried, so intact archives keep their exact format.
+  /// Applied to re-serialized (repaired) steps.  They are rewritten as
+  /// v3, with parity when the damaged file carried it; intact archives
+  /// and steps keep their exact bytes.
   RetryPolicy retry;
   /// Store file names to leave alone (e.g. destinations of sequences a
   /// live server is still appending to).

@@ -197,8 +197,8 @@ struct DecodeRequest {
   /// Server-side store read: when non-empty, the archive named here under
   /// the server's --output-dir is decoded instead of inline bytes (which
   /// must then be absent).  Works for single containers and for sequence
-  /// archives; the server shares one seekable reader + chunk fetcher per
-  /// store name, so N clients decoding disjoint steps read concurrently.
+  /// archives; the server shares one step reader per store name, so N
+  /// clients decoding disjoint steps read concurrently.
   std::string store_name;
   /// Step to decode when the named store is a sequence archive; ignored
   /// for single containers and inline bytes.

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "compress/factory.hpp"
-#include "core/chunk_fetch.hpp"
 #include "core/guard.hpp"
 #include "core/pipeline.hpp"
 #include "core/staging.hpp"
@@ -82,19 +81,14 @@ const char* section_state_name(io::SectionState state) {
 
 }  // namespace
 
-/// Shared read-side state for one published store: a seekable sequence
-/// reader plus a chunk fetcher whose cache is shared by every decode
-/// request naming this store.  Member order matters -- the fetcher is
-/// destroyed first, draining its background prefetch tasks while the
-/// reader they capture is still alive.
+/// Shared read-side state for one published store: the sequence reader
+/// every decode request naming this store reads its step through.
 struct StoreReadCache {
   std::uint64_t file_size = 0;
   io::SequenceReader reader;
-  core::ChunkFetcher fetcher;
 
   StoreReadCache(std::uint64_t size, const std::filesystem::path& path)
-      : file_size(size), reader(path),
-        fetcher(core::make_sequence_fetcher(reader)) {}
+      : file_size(size), reader(path) {}
 };
 
 /// Per-connection state.  The session thread is the only reader of the
@@ -540,10 +534,13 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
       break;
     }
   }
-  if (torn) record(&StatsResponse::protocol_errors, "net.torn_frames");
+  if (torn) {
+    record(&StatsResponse::protocol_errors, "net.protocol_errors");
+    obs::count("net.torn_frames");
+  }
   if (stalled) {
     record(&StatsResponse::stalled_sessions, "net.stalled_sessions");
-    record(&StatsResponse::protocol_errors);
+    record(&StatsResponse::protocol_errors, "net.protocol_errors");
     // Best effort: the half-frame has no request id, so the teardown
     // notice goes out unaddressed before the close.
     send_error(session, 0, Status::kBadRequest,
@@ -579,7 +576,7 @@ void Server::handle_frame(const std::shared_ptr<Session>& session,
     case MsgType::kScrub:
       break;
     default:
-      record(&StatsResponse::protocol_errors);
+      record(&StatsResponse::protocol_errors, "net.protocol_errors");
       send_error(session, header.request_id, Status::kBadRequest,
                  std::string("unexpected ") + to_string(header.type) +
                      " frame on the server side");
@@ -910,7 +907,7 @@ std::shared_ptr<StoreReadCache> Server::store_read_cache(
   if (it != store_readers_.end() && it->second->file_size == size)
     return it->second;
   // New store, or a writer re-published it (size changed): (re)open.
-  // Only an intact sequence archive gets a seekable reader.  Anything
+  // Only an intact sequence archive gets a step reader.  Anything
   // else -- a plain container store, or a sequence whose trailer is torn
   // -- is signalled by nullptr so the caller takes the whole-file decode
   // path, which rejects a torn store typed.
@@ -937,7 +934,7 @@ void Server::handle_decode(Job& job) {
   };
 
   // Resolve the archive bytes: inline in the request, or a server-side
-  // store read (seekable, chunk-cached for intact sequence archives).
+  // store read (step-wise for intact sequence archives).
   if (!request.store_name.empty()) {
     if (!options_.output_dir)
       throw NetError(NetErrc::kMalformedPayload,
@@ -960,7 +957,8 @@ void Server::handle_decode(Job& job) {
                            " requested");
       const auto step = static_cast<std::size_t>(request.step);
       if (!request.best_effort) {
-        respond(core::reconstruct(*cache->fetcher.get(step), codecs.pair()));
+        respond(core::reconstruct(cache->reader.read_step(step),
+                                  codecs.pair()));
         return;
       }
       request.container = cache->reader.read_step_bytes(step);

@@ -201,10 +201,10 @@ class Server {
   /// Caller must hold sequences_mutex_.
   SequenceState& sequence_state(const std::string& name);
   void finish_sequences();
-  /// Shared seekable reader + chunk fetcher for a published sequence
-  /// archive under the output dir.  Returns nullptr when the file is not
-  /// a sequence archive (plain container store).  Entries are rebuilt
-  /// when the published file's size changes (a writer re-published it).
+  /// Shared step reader for a published sequence archive under the
+  /// output dir.  Returns nullptr when the file is not a sequence archive
+  /// (plain container store).  Entries are rebuilt when the published
+  /// file's size changes (a writer re-published it).
   std::shared_ptr<struct StoreReadCache> store_read_cache(
       const std::string& name, const std::filesystem::path& path);
   /// Completes one admitted job: accounts the outcome, releases its byte
@@ -246,9 +246,9 @@ class Server {
   /// sequences_mutex_, which is what coalesces concurrent duplicates of
   /// the same tokened append.
   std::map<std::string, std::unique_ptr<SequenceState>> sequences_;
-  /// Store-read side (decode-from-store requests): one shared reader +
-  /// fetcher per published sequence, so concurrent decode requests hit
-  /// the chunk cache instead of re-reading the archive.
+  /// Store-read side (decode-from-store requests): one shared reader per
+  /// published sequence, so concurrent decode requests read their steps
+  /// without re-opening the archive and re-parsing its trailer.
   std::mutex store_readers_mutex_;
   std::map<std::string, std::shared_ptr<struct StoreReadCache>>
       store_readers_;

@@ -92,7 +92,8 @@ class Communicator {
       throw std::runtime_error("recv: payload not a multiple of sizeof(T)");
     }
     std::vector<T> values(bytes.size() / sizeof(T));
-    std::memcpy(values.data(), bytes.data(), bytes.size());
+    // An empty message has null data pointers, which memcpy forbids.
+    if (!bytes.empty()) std::memcpy(values.data(), bytes.data(), bytes.size());
     return values;
   }
 

@@ -134,12 +134,18 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+namespace {
+
+// The pool the free-function helpers route to: the ScopedPoolOverride
+// pool when one is installed, else global_pool().
 ThreadPool& active_pool() {
   if (ThreadPool* override_pool = g_pool_override.load(std::memory_order_acquire)) {
     return *override_pool;
   }
   return global_pool();
 }
+
+}  // namespace
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,

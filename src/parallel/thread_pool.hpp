@@ -88,12 +88,6 @@ void parallel_for_ranges(
     std::size_t count, const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t grain = 0);
 
-/// The pool the free-function helpers route to: the ScopedPoolOverride
-/// pool when one is installed, else global_pool().  Exposed so callers
-/// that submit() background tasks (e.g. core::ChunkFetcher's prefetch)
-/// land them on the same pool a thread-sweeping bench or test selected.
-ThreadPool& active_pool();
-
 /// Worker count of the active pool (override if installed, else the
 /// global pool's size) -- callers can use it to pick serial cutoffs.
 std::size_t active_thread_count();

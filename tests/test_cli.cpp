@@ -380,10 +380,10 @@ TEST_F(CliTest, SeekableSequenceStepDecodeAndTornTrailerSalvage) {
   const std::string inputs =
       quoted(input_) + " " + quoted(input_) + " " + quoted(input_);
   ASSERT_EQ(run_rmpc("sequence " + inputs + " " + quoted(seq) +
-                     " --dims 16,16,16 --method pca --seekable"),
+                     " --dims 16,16,16 --method pca"),
             0);
 
-  // Whole-sequence decode (parallel chunked path) = 3 concatenated steps.
+  // Whole-sequence decode = 3 concatenated steps.
   const fs::path all = dir_ / "all.f64";
   ASSERT_EQ(run_rmpc("decompress " + quoted(seq) + " " + quoted(all)), 0);
   const auto whole = read_back(all);
@@ -489,6 +489,40 @@ TEST_F(CliTest, IoErrorsExitWithCode3) {
                               " --dims 16,16,16");
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 3);
+}
+
+// A decoded field that cannot be written is an I/O failure, not a
+// success: /dev/full accepts the open and fails the write or the flush.
+TEST_F(CliTest, DecompressWriteFailureExitsWithCode3) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  const fs::path archive = dir_ / "h.rmp";
+  const fs::path seq = dir_ / "s.rmps";
+  ASSERT_EQ(run_rmpc("compress " + quoted(input_) + " " + quoted(archive) +
+                     " --dims 16,16,16 --method pca"),
+            0);
+  ASSERT_EQ(run_rmpc("sequence " + quoted(input_) + " " + quoted(input_) +
+                     " " + quoted(seq) + " --dims 16,16,16 --method pca"),
+            0);
+  for (const std::string args :
+       {"decompress " + quoted(archive) + " /dev/full",
+        "decompress " + quoted(seq) + " /dev/full --step 1",
+        "decompress " + quoted(seq) + " /dev/full"}) {
+    const int status = run_rmpc(args);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 3) << args;
+  }
+}
+
+// The v4 writer is gone: `--seekable` is an unknown flag like any other.
+TEST_F(CliTest, SeekableIsAnUnknownFlag) {
+  for (const std::string verb : {"compress", "sequence"}) {
+    const int status =
+        run_rmpc(verb + " " + quoted(input_) + " " + quoted(dir_ / "u.rmp") +
+                 " --dims 16,16,16 --seekable");
+    ASSERT_TRUE(WIFEXITED(status)) << verb;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << verb;
+  }
+  EXPECT_FALSE(fs::exists(dir_ / "u.rmp"));
 }
 
 TEST_F(CliTest, IntegrityFailuresExitWithCode4) {

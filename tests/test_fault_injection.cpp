@@ -13,9 +13,9 @@
 #include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "fault_injection.hpp"
-#include "io/checksum.hpp"
 #include "io/container.hpp"
 #include "io/sequence_file.hpp"
+#include "legacy_formats.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::core {
@@ -237,46 +237,13 @@ INSTANTIATE_TEST_SUITE_P(AllPreconditioners, FaultInjection,
 // older builds must still read back unchanged.  The writer below replays
 // the legacy layout byte for byte.
 
-void v2_append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-void v2_append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-void v2_append_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  v2_append_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::vector<std::uint8_t> serialize_v2(const io::Container& container) {
-  std::vector<std::uint8_t> out;
-  v2_append_u32(out, 0x50434D52u);  // "RMCP"
-  v2_append_u32(out, 2u);
-  v2_append_string(out, container.method);
-  v2_append_u64(out, container.nx);
-  v2_append_u64(out, container.ny);
-  v2_append_u64(out, container.nz);
-  v2_append_u32(out, static_cast<std::uint32_t>(container.sections.size()));
-  for (const auto& section : container.sections) {
-    v2_append_string(out, section.name);
-    v2_append_u64(out, section.bytes.size());
-    out.insert(out.end(), section.bytes.begin(), section.bytes.end());
-  }
-  v2_append_u32(out, io::crc32(out));
-  return out;
-}
-
 TEST(FaultInjectionV2Compat, LegacyArchivesStillRoundTrip) {
   Codecs codecs;
   for (const auto& method : preconditioner_names()) {
     const auto preconditioner = make_preconditioner(method);
     const auto container =
         preconditioner->encode(field3d(), codecs.pair(), nullptr);
-    const auto v2_bytes = serialize_v2(container);
+    const auto v2_bytes = testing::serialize_v2(container);
 
     io::ReadReport report;
     const auto decoded = io::deserialize(v2_bytes, &report);
@@ -541,7 +508,7 @@ TEST(FaultInjectionV2Compat, FlippedV2ByteStillDetected) {
   const auto preconditioner = make_preconditioner("pca");
   const auto container =
       preconditioner->encode(field3d(), codecs.pair(), nullptr);
-  auto bytes = serialize_v2(container);
+  auto bytes = testing::serialize_v2(container);
   bytes[bytes.size() / 2] ^= 0x10u;
   try {
     io::deserialize(bytes);

@@ -35,6 +35,7 @@
 #include "net/net_error.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -319,6 +320,37 @@ TEST(NetServer, TornFrameOnDisconnectCountsAsProtocolError) {
   EXPECT_TRUE(counted);
   Client client(client_options(server));
   client.ping();  // still alive
+}
+
+/// The value `"name": N` carries in an rmp-obs-v1 counters dump; 0 when
+/// the counter is absent.
+std::uint64_t obs_counter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + key.size()));
+}
+
+TEST(NetServer, UnexpectedFrameTypeIsBookedInTheObsCounterToo) {
+  Server server(ServerOptions{});
+  server.start();
+  // The registry is process-wide: count from where this test starts.
+  const std::uint64_t before =
+      obs::Registry::global().counter_value("net.protocol_errors");
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  conn.send(net::encode_frame(MsgType::kPong, 7, 0, {}));
+  const auto reply = conn.recv_frame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->header.type, MsgType::kError);
+  EXPECT_EQ(reply->header.status, Status::kBadRequest);
+
+  Client client(client_options(server));
+  const net::StatsResponse stats = client.stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(obs_counter(stats.obs_json, "net.protocol_errors") - before,
+            stats.protocol_errors);
+  server.drain();
 }
 
 TEST(NetServer, CleanDisconnectBetweenFramesIsNotAnError) {

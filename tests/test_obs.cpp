@@ -348,7 +348,11 @@ TEST_F(ObsTest, GuardedRoundTripSpanPathsNeverRepeatASegment) {
   EXPECT_NE(find_span(spans,
                       "precondition/pca/delta-compress/codec/sz/quantize"),
             nullptr);
-  EXPECT_NE(find_span(spans, "pipeline/reconstruct/pca/codec/sz/dequantize"),
+  EXPECT_NE(find_span(spans, "pipeline/reconstruct/pca/delta-decompress/"
+                             "codec/sz/dequantize"),
+            nullptr);
+  EXPECT_NE(find_span(spans, "pipeline/reconstruct/pca/reduced-decompress/"
+                             "codec/sz/dequantize"),
             nullptr);
 }
 

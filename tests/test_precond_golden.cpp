@@ -1,9 +1,11 @@
 // Byte-identity pins for the reduced-model preconditioners.  Each entry is
 // the size and CRC-32 of io::serialize() output on one fixed field; a
 // refactor of the encode path must leave every one unchanged.  The legacy
-// fixture is a blocked-pca archive written by the per-block encoder
-// (one serialized inner container per row block, no global delta), kept so
-// the decode-only reader for such archives stays covered.
+// fixtures are archives no current writer produces, kept with the CRC of
+// the doubles they decode to so their decode-only readers stay covered: a
+// blocked-pca archive written by the per-block encoder (one serialized
+// inner container per row block, no global delta), and a v4 container and
+// v4-step sequence (per-section offsets in every directory).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -13,6 +15,8 @@
 #include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "io/checksum.hpp"
+#include "io/container.hpp"
+#include "io/sequence_file.hpp"
 
 namespace rmp::core {
 namespace {
@@ -172,6 +176,38 @@ TEST(PrecondGolden, LegacyBlockedPcaArchiveDecodes) {
   const sim::Field decoded = reconstruct(container, sz.pair());
   ASSERT_EQ(decoded.size(), 512u);
   EXPECT_EQ(field_crc(decoded), 0xFF48C8CFu);
+}
+
+// tests/data/legacy_v4_pca_16.rmp and legacy_v4_pca_16x3.rmps: `rmpc
+// compress --seekable` and `rmpc sequence --seekable` (--method pca
+// --codec sz --dims 16,16,16, parity on), written while that flag still
+// produced v4.  Step s of the sequence is the 16^3 field
+// (sin(0.3 x) cos(0.2 y) + 0.05 z + 2) (1 + 0.1 s), x fastest; the
+// container holds step 0.  Whole-sequence `rmpc decompress` wrote the
+// steps concatenated, CRC 0xCBD26713.
+TEST(PrecondGolden, LegacyV4ArchivesDecode) {
+  const Codecs sz = sz_pair();
+  io::ReadReport report;
+  const io::Container container = io::deserialize(
+      io::read_file_bytes(RMP_TEST_DATA_DIR "/legacy_v4_pca_16.rmp", "test"),
+      &report);
+  EXPECT_EQ(report.version, 4u);
+  EXPECT_EQ(field_crc(reconstruct(container, sz.pair())), 0xD5346B54u);
+
+  const io::SequenceReader reader(RMP_TEST_DATA_DIR
+                                  "/legacy_v4_pca_16x3.rmps");
+  ASSERT_EQ(reader.step_count(), 3u);
+  constexpr std::uint32_t kStepCrcs[] = {0xD5346B54u, 0xCB1A5B5Eu,
+                                         0x9DFAD812u};
+  std::vector<double> all;
+  for (std::size_t step = 0; step < reader.step_count(); ++step) {
+    const sim::Field decoded = reconstruct(reader.read_step(step), sz.pair());
+    ASSERT_EQ(decoded.size(), 4096u);
+    EXPECT_EQ(field_crc(decoded), kStepCrcs[step]) << "step " << step;
+    all.insert(all.end(), decoded.flat().begin(), decoded.flat().end());
+  }
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(all.data());
+  EXPECT_EQ(io::crc32({raw, all.size() * sizeof(double)}), 0xCBD26713u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "io/container.hpp"
 #include "io/sequence_file.hpp"
 #include "io/store_health.hpp"
+#include "legacy_formats.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::io {
@@ -207,6 +208,23 @@ TEST_F(RecoveryTest, UnrecoverableArchiveIsQuarantinedWithManifestEntry) {
   const ScrubReport again = scrub_store(store);
   EXPECT_EQ(again.files_quarantined, 0u);
   EXPECT_EQ(again.files_repaired, 0u);
+}
+
+// Nothing writes v4 any more: a parity-repaired v4 file is republished
+// as v3 with the same sections and payload bytes.
+TEST_F(RecoveryTest, ScrubRepublishesARepairedV4ContainerAsV3) {
+  const fs::path store = fresh_store("store");
+  const Container original = sample(1);
+  auto damaged = testing::serialize_v4(original, /*with_parity=*/true);
+  testing::corrupt_section(damaged, original, /*with_parity=*/true, 0);
+  spit(store / "old.rmp", damaged);
+
+  const ScrubReport report = scrub_store(store);
+  EXPECT_EQ(report.files_repaired, 1u);
+  EXPECT_EQ(report.files_quarantined, 0u);
+  SerializeOptions options;
+  options.with_parity = true;
+  EXPECT_EQ(slurp(store / "old.rmp"), serialize(original, options));
 }
 
 TEST_F(RecoveryTest, ScrubSkipListLeavesLiveSequencesAlone) {

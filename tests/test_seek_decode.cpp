@@ -1,8 +1,8 @@
-// Seekable archives + parallel chunked decode (DESIGN.md §12): the v4
-// chunk index, the thread-safe pread-backed SequenceReader, and the
-// ChunkFetcher pipeline.  Runs under the `fault` label so TSan covers
-// the N-threads-one-reader and shared-fetcher paths, and ASan the
-// torn-trailer / corrupt-chunk salvage paths.
+// Random access into archives (DESIGN.md §12): reading legacy v4
+// containers, and the thread-safe pread-backed SequenceReader behind its
+// CRC'd trailer index.  Runs under the `fault` label so TSan covers the
+// N-threads-one-reader paths, and ASan the torn-trailer / corrupt-chunk
+// salvage paths.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,14 +11,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
-#include "core/chunk_fetch.hpp"
 #include "io/container.hpp"
 #include "io/container_error.hpp"
 #include "io/file_ops.hpp"
 #include "io/sequence_file.hpp"
+#include "legacy_formats.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -101,9 +102,8 @@ class SeekDecodeTest : public ::testing::Test {
     return c;
   }
 
-  void write_sequence(std::size_t steps, std::size_t payload = 256,
-                      const io::SerializeOptions& options = {}) {
-    io::SequenceWriter writer(path_, options);
+  void write_sequence(std::size_t steps, std::size_t payload = 256) {
+    io::SequenceWriter writer(path_);
     for (std::size_t i = 0; i < steps; ++i) writer.append(sample(i, payload));
     writer.finish();
   }
@@ -112,15 +112,13 @@ class SeekDecodeTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// v4 container chunk index
+// Legacy v4 containers (per-section offsets in the directory)
 
 TEST_F(SeekDecodeTest, V4RoundTripMatchesV3Content) {
   const io::Container original = sample(3);
-  io::SerializeOptions v4;
-  v4.with_chunk_index = true;
-  const auto v4_bytes = io::serialize(original, v4);
+  const auto v4_bytes = testing::serialize_v4(original);
   const auto v3_bytes = io::serialize(original);
-  EXPECT_NE(v4_bytes, v3_bytes);  // v4 carries the index, v3 stays as-was
+  EXPECT_NE(v4_bytes, v3_bytes);  // v4 carries the per-section offsets
 
   io::ReadReport report;
   const io::Container decoded = io::deserialize(v4_bytes, &report);
@@ -138,52 +136,12 @@ TEST_F(SeekDecodeTest, V4RoundTripMatchesV3Content) {
 
 TEST_F(SeekDecodeTest, V4WithParityStillRepairs) {
   const io::Container original = sample(5);
-  io::SerializeOptions options;
-  options.with_chunk_index = true;
-  options.with_parity = true;
-  auto bytes = io::serialize(original, options);
+  auto bytes = testing::serialize_v4(original, /*with_parity=*/true);
   // Flip one payload byte near the end (section data lives at the tail).
   bytes[bytes.size() / 2] ^= 0x20;
   io::ReadReport report;
   const io::Container decoded = io::deserialize(bytes, &report);
   EXPECT_EQ(decoded.find("data")->bytes, original.find("data")->bytes);
-}
-
-TEST_F(SeekDecodeTest, ContainerFileReaderServesSectionsSeekably) {
-  const io::Container original = sample(7, 4096);
-  const fs::path file = fs::temp_directory_path() / "rmp_seek_v4.rmp";
-  io::SerializeOptions options;
-  options.with_chunk_index = true;
-  io::write_container(file, original, options);
-
-  CountingFileOps counting;
-  {
-    ScopedFileOps install(counting);
-    const io::ContainerFileReader reader(file);
-    EXPECT_EQ(reader.version(), 4u);
-    EXPECT_EQ(reader.shell().method, original.method);
-    ASSERT_NE(reader.find("data"), nullptr);
-
-    counting.reset();
-    const auto data = reader.read_section("data");
-    EXPECT_EQ(data, original.find("data")->bytes);
-    // The 4 KiB section must not drag the rest of the archive with it.
-    EXPECT_LE(counting.bytes_read(), original.find("data")->bytes.size());
-
-    const io::Container all = reader.read_all();
-    EXPECT_EQ(all.find("tag")->bytes, original.find("tag")->bytes);
-  }
-  fs::remove(file);
-}
-
-TEST_F(SeekDecodeTest, ContainerFileReaderReadsV3ByCumulativeOffsets) {
-  const io::Container original = sample(2);
-  const fs::path file = fs::temp_directory_path() / "rmp_seek_v3.rmp";
-  io::write_container(file, original);  // default: v3, no chunk index
-  const io::ContainerFileReader reader(file);
-  EXPECT_EQ(reader.version(), 3u);
-  EXPECT_EQ(reader.read_section("data"), original.find("data")->bytes);
-  fs::remove(file);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,54 +329,6 @@ TEST_F(SeekDecodeTest, LegacyPreCrcTrailerStillReads) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Chunk cache / prefetcher / fetcher
-
-TEST(ChunkCacheTest, EvictsLeastRecentlyUsed) {
-  core::ChunkCache cache(2);
-  auto chunk = [](std::size_t i) {
-    auto c = std::make_shared<io::Container>();
-    c->nx = i;
-    return core::ChunkPtr(std::move(c));
-  };
-  cache.put(0, chunk(0));
-  cache.put(1, chunk(1));
-  ASSERT_NE(cache.get(0), nullptr);  // refresh 0; 1 is now LRU
-  cache.put(2, chunk(2));
-  EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_NE(cache.get(0), nullptr);
-  EXPECT_NE(cache.get(2), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(SequentialPrefetcherTest, WindowDoublesOnStreaksAndCollapsesOnSeeks) {
-  core::SequentialPrefetcher prefetcher(8);
-  EXPECT_EQ(prefetcher.on_access(0, 100).size(), 1u);  // cold: window 1
-  EXPECT_EQ(prefetcher.on_access(1, 100).size(), 2u);
-  EXPECT_EQ(prefetcher.on_access(2, 100).size(), 4u);
-  EXPECT_EQ(prefetcher.on_access(3, 100).size(), 8u);
-  EXPECT_EQ(prefetcher.on_access(4, 100).size(), 8u);  // capped
-  EXPECT_EQ(prefetcher.on_access(50, 100).size(), 1u);  // seek: collapse
-  // Never prefetches past the end.
-  EXPECT_TRUE(prefetcher.on_access(99, 100).empty());
-}
-
-TEST_F(SeekDecodeTest, FetcherCacheHitsAreCounted) {
-  write_sequence(4);
-  obs::set_enabled(true);
-  const io::SequenceReader reader(path_);
-  core::ChunkFetcher fetcher = core::make_sequence_fetcher(reader);
-
-  const auto hits_before =
-      obs::Registry::global().counter_value("chunk.cache.hits");
-  const core::ChunkPtr first = fetcher.get(2);
-  const core::ChunkPtr second = fetcher.get(2);
-  EXPECT_EQ(first->method, "step2");
-  EXPECT_EQ(second->method, "step2");
-  EXPECT_GT(obs::Registry::global().counter_value("chunk.cache.hits"),
-            hits_before);
-}
-
 TEST_F(SeekDecodeTest, ParallelFetchMatchesSerialAcrossThreadCounts) {
   constexpr std::size_t kSteps = 12;
   write_sequence(kSteps, 1024);
@@ -430,75 +340,68 @@ TEST_F(SeekDecodeTest, ParallelFetchMatchesSerialAcrossThreadCounts) {
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     parallel::ThreadPool pool(threads);
-    parallel::ScopedPoolOverride override_pool(pool);
-    core::ChunkFetcher fetcher = core::make_sequence_fetcher(reader);
-    const auto chunks = core::fetch_all(fetcher);
-    ASSERT_EQ(chunks.size(), kSteps) << threads << " threads";
+    std::vector<io::Container> steps(kSteps);
+    // Disjoint scatter: element i is only touched by the body for i.
+    pool.parallel_for(
+        kSteps, [&](std::size_t i) { steps[i] = reader.read_step(i); },
+        /*grain=*/1);
     for (std::size_t i = 0; i < kSteps; ++i) {
-      ASSERT_NE(chunks[i], nullptr);
       // Byte-identical to serial decode, independent of thread count.
-      EXPECT_EQ(io::serialize(*chunks[i]), io::serialize(serial[i]))
+      EXPECT_EQ(io::serialize(steps[i]), io::serialize(serial[i]))
           << "step " << i << " with " << threads << " threads";
     }
   }
 }
 
-TEST_F(SeekDecodeTest, ManyThreadsShareOneFetcher) {
-  constexpr std::size_t kSteps = 10;
-  write_sequence(kSteps);
-  const io::SequenceReader reader(path_);
-  core::ChunkFetcher fetcher = core::make_sequence_fetcher(reader);
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::size_t round = 0; round < 3; ++round) {
-        for (std::size_t i = 0; i < kSteps; ++i) {
-          const std::size_t step = (i * (t + 1) + round) % kSteps;
-          const core::ChunkPtr chunk = fetcher.get(step);
-          if (chunk == nullptr ||
-              chunk->method != "step" + std::to_string(step)) {
-            ++failures;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST_F(SeekDecodeTest, FetcherPropagatesLoaderFailuresAndRecovers) {
-  std::atomic<int> calls{0};
-  core::ChunkFetcher fetcher(
-      4,
-      [&](std::size_t index) -> core::ChunkPtr {
-        if (calls.fetch_add(1) == 0) {
-          throw io::ContainerError(io::ContainerErrc::kIoError,
-                                   "transient read failure");
-        }
-        auto c = std::make_shared<io::Container>();
-        c->nx = index;
-        return c;
-      },
-      {.cache_chunks = 4, .prefetch_window = 0});
-  EXPECT_THROW(fetcher.get(0), io::ContainerError);
-  // A failed load must not wedge the slot: the retry decodes fresh.
-  const core::ChunkPtr retried = fetcher.get(0);
-  ASSERT_NE(retried, nullptr);
-  EXPECT_EQ(retried->nx, 0u);
-}
-
 TEST_F(SeekDecodeTest, SeekableSequenceStepsCarryTheirOwnChunkIndex) {
-  io::SerializeOptions options;
-  options.with_chunk_index = true;
-  write_sequence(3, 256, options);
+  // Sequences whose steps are v4 containers read step by step like any
+  // other.
+  std::vector<std::vector<std::uint8_t>> steps;
+  for (std::size_t i = 0; i < 3; ++i) {
+    steps.push_back(testing::serialize_v4(sample(i), /*with_parity=*/true));
+  }
+  io::write_sequence_archive(path_, steps);
   const io::SequenceReader reader(path_);
+  ASSERT_EQ(reader.step_count(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    io::ReadReport report;
+    const io::Container step = io::deserialize(reader.read_step_bytes(i),
+                                               &report);
+    EXPECT_EQ(report.version, 4u);
+    EXPECT_EQ(io::serialize(step), io::serialize(sample(i))) << "step " << i;
+  }
+}
+
+std::vector<std::uint8_t> slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// The committed v4 archives were written by `rmpc compress --seekable` and
+// `rmpc sequence --seekable` before that flag went; the test helper must
+// reproduce their bytes exactly, or the v4-read tests above would pin a
+// format nobody wrote.  (test_precond_golden pins what they decode to.)
+TEST(LegacyV4Fixtures, TestWriterReproducesTheRetiredWriter) {
+  const auto container_bytes =
+      slurp(RMP_TEST_DATA_DIR "/legacy_v4_pca_16.rmp");
   io::ReadReport report;
-  const auto bytes = reader.read_step_bytes(1);
-  io::deserialize(bytes, &report);
+  const io::Container container = io::deserialize(container_bytes, &report);
   EXPECT_EQ(report.version, 4u);
+  EXPECT_TRUE(report.parity_present);
+  EXPECT_EQ(testing::serialize_v4(container, /*with_parity=*/true),
+            container_bytes);
+
+  const io::SequenceReader reader(RMP_TEST_DATA_DIR
+                                  "/legacy_v4_pca_16x3.rmps");
+  ASSERT_EQ(reader.step_count(), 3u);
+  for (std::size_t i = 0; i < reader.step_count(); ++i) {
+    const auto step_bytes = reader.read_step_bytes(i);
+    EXPECT_EQ(testing::serialize_v4(io::deserialize(step_bytes),
+                                    /*with_parity=*/true),
+              step_bytes)
+        << "step " << i;
+  }
 }
 
 }  // namespace

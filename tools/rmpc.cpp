@@ -9,7 +9,7 @@
 //                   [--guard] [--verify-bound EPS]
 //   rmpc decompress <in.rmp> <out.f64> [--codec sz|zfp] [--best-effort]
 //                   [--step K]   (sequence archives; omitting --step decodes
-//                                 every step in parallel and concatenates)
+//                                 every step in order and concatenates)
 //   rmpc info       <in.rmp>
 //   rmpc predict    <in.f64> --dims NX[,NY[,NZ]]
 //   rmpc stats      <in.f64> --dims NX[,NY[,NZ]]
@@ -18,9 +18,9 @@
 //   rmpc verify     <in.rmp>
 //   rmpc repair     <in.rmp> <out.rmp>
 //   rmpc sequence   <in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]
-//                   [--method NAME] [--codec sz|zfp] [--no-parity] [--seekable]
+//                   [--method NAME] [--codec sz|zfp] [--no-parity]
 //   rmpc resume     <in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]
-//                   [--method NAME] [--codec sz|zfp] [--no-parity] [--seekable]
+//                   [--method NAME] [--codec sz|zfp] [--no-parity]
 //   rmpc bench-gate <baseline.json> <candidate.json> [--threshold PCT]
 //   rmpc serve      [--port N] [--bind ADDR] [--queue N] [--workers N]
 //                   [--max-sessions N] [--output-dir DIR] [--no-parity]
@@ -47,11 +47,9 @@
 // same arguments after a crash or fault-aborted run: it validates the
 // committed prefix in `<out.rmps>.part`, re-encodes only the missing
 // steps, and publishes an archive byte-identical to an uninterrupted run.
-// `--seekable` embeds the v4 per-section chunk index in every written
-// container, so later readers can address any slab without loading the
-// whole archive (DESIGN.md §12); `decompress` on a sequence archive
-// decodes either one step (`--step K`, reading only that step's bytes)
-// or every step concurrently through the chunk fetcher.  `bench-gate`
+// `decompress` on a sequence archive decodes either one step (`--step
+// K`, reading only that step's bytes through the trailer index,
+// DESIGN.md §12) or every step in order.  `bench-gate`
 // compares two rmp-bench-core-v1 reports and fails (exit 1) when the
 // candidate's aggregate encode or decode throughput regressed by more
 // than the threshold (default 15%) -- the CI perf gate.
@@ -87,7 +85,6 @@
 #include "net/server.hpp"
 
 #include "compress/factory.hpp"
-#include "core/chunk_fetch.hpp"
 #include "core/guard.hpp"
 #include "core/model_predict.hpp"
 #include "core/pipeline.hpp"
@@ -120,10 +117,10 @@ using namespace rmp;
                "  rmpc repair     <in.rmp> <out.rmp>\n"
                "  rmpc sequence   <in1.f64> [<in2.f64> ...] <out.rmps> "
                "--dims NX[,NY[,NZ]] [--method NAME] [--codec sz|zfp] "
-               "[--no-parity] [--seekable]\n"
+               "[--no-parity]\n"
                "  rmpc resume     <in1.f64> [<in2.f64> ...] <out.rmps> "
                "--dims NX[,NY[,NZ]] [--method NAME] [--codec sz|zfp] "
-               "[--no-parity] [--seekable]\n"
+               "[--no-parity]\n"
                "  rmpc bench-gate <baseline.json> <candidate.json> "
                "[--threshold PCT] [--codec NAME] [--min-speedup X]\n"
                "  rmpc serve      [--port N] [--bind ADDR] [--queue N] "
@@ -241,14 +238,22 @@ std::vector<double> read_doubles(const std::string& path) {
   return data;
 }
 
-void write_doubles(const std::string& path, const std::vector<double>& data) {
+/// Write `size` bytes to `path`, exiting with kExitIo when the open, the
+/// write or the final flush on close fails (a full disk surfaces only at
+/// the flush).
+void write_file(const std::string& path, const void* data, std::size_t size) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(static_cast<const char*>(data),
+             static_cast<std::streamsize>(size));
+  file.close();
   if (!file) {
     std::fprintf(stderr, "rmpc: cannot write %s\n", path.c_str());
     std::exit(tools::kExitIo);
   }
-  file.write(reinterpret_cast<const char*>(data.data()),
-             static_cast<std::streamsize>(data.size() * sizeof(double)));
+}
+
+void write_doubles(const std::string& path, const std::vector<double>& data) {
+  write_file(path, data.data(), data.size() * sizeof(double));
 }
 
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
@@ -264,16 +269,6 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
   return bytes;
 }
 
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  file.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  if (!file) {
-    std::fprintf(stderr, "rmpc: cannot write %s\n", path.c_str());
-    std::exit(tools::kExitIo);
-  }
-}
 
 struct Args {
   std::vector<std::string> positional;
@@ -282,7 +277,6 @@ struct Args {
   std::string codec = "sz";
   bool no_parity = false;
   bool best_effort = false;
-  bool seekable = false;  ///< --seekable: embed the v4 chunk index
   std::optional<std::uint64_t> step;  ///< --step K: one sequence step
   double threshold = 15.0;  ///< --threshold PCT for bench-gate
   bool codec_given = false;  ///< --codec was passed explicitly
@@ -348,9 +342,6 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--best-effort") {
       no_value();
       args.best_effort = true;
-    } else if (arg == "--seekable") {
-      no_value();
-      args.seekable = true;
     } else if (arg == "--step") {
       // Step indices start at 0, unlike the size-shaped flags that share
       // parse_size_component (which rejects zero).
@@ -479,7 +470,6 @@ int cmd_compress(const Args& args) {
 
   io::SerializeOptions options;
   options.with_parity = !args.no_parity;
-  options.with_chunk_index = args.seekable;
 
   if (args.guard) {
     core::GuardOptions guard_options;
@@ -509,8 +499,8 @@ int cmd_compress(const Args& args) {
 
 /// Sequence-archive decompress: `--step K` reads and decodes exactly one
 /// step (touching only that step's bytes plus the trailer -- O(step K)
-/// I/O); without `--step`, every step is decoded concurrently through
-/// the chunk fetcher and the fields are concatenated into the output.
+/// I/O); without `--step`, every step is decoded in order and the fields
+/// are concatenated into the output.
 int cmd_decompress_sequence(const Args& args,
                             const io::SequenceReader& reader) {
   const Codecs codecs = make_codecs(args.codec);
@@ -546,20 +536,17 @@ int cmd_decompress_sequence(const Args& args,
     return 0;
   }
 
-  // Whole-sequence decode: chunk fetcher + thread pool; the decoded
-  // fields are concatenated in step order, bit-identical to reading each
-  // step serially.
-  core::ChunkFetcher fetcher = core::make_sequence_fetcher(reader);
-  const auto chunks = core::fetch_all(fetcher);
+  // Whole-sequence decode: the decoded fields concatenated in step order.
+  const std::size_t steps = reader.step_count();
   std::vector<double> all;
-  for (std::size_t step = 0; step < chunks.size(); ++step) {
-    const sim::Field field = core::reconstruct(*chunks[step], pair);
-    if (step == 0) all.reserve(field.flat().size() * chunks.size());
+  for (std::size_t step = 0; step < steps; ++step) {
+    const sim::Field field = core::reconstruct(reader.read_step(step), pair);
+    if (step == 0) all.reserve(field.flat().size() * steps);
     all.insert(all.end(), field.flat().begin(), field.flat().end());
   }
   write_doubles(out, all);
-  std::printf("%s: %zu step(s), %zu doubles total\n", out.c_str(),
-              chunks.size(), all.size());
+  std::printf("%s: %zu step(s), %zu doubles total\n", out.c_str(), steps,
+              all.size());
   return 0;
 }
 
@@ -772,7 +759,6 @@ int cmd_sequence(const Args& args, bool resume_mode) {
   const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
   io::SerializeOptions options;
   options.with_parity = !args.no_parity;
-  options.with_chunk_index = args.seekable;
 
   std::optional<io::SequenceWriter> writer;
   std::size_t committed = 0;
@@ -1054,7 +1040,8 @@ int cmd_client_encode(const Args& args, net::Client& client) {
                 response.method.c_str());
     return tools::kExitOk;
   }
-  write_bytes(args.positional[2], response.container);
+  write_file(args.positional[2], response.container.data(),
+             response.container.size());
   std::printf("%s: %llu -> %llu bytes via %s\n", args.positional[2].c_str(),
               static_cast<unsigned long long>(response.original_bytes),
               static_cast<unsigned long long>(response.stored_bytes),
